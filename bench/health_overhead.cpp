@@ -1,10 +1,9 @@
-// Health overhead bench: sampler + watchdog on vs off over the swarm
+// Health overhead bench: time-series sampler on vs off over the swarm
 // workload.
 //
-// Runs the same fixed-seed swarm batch twice — once with the health
-// machinery quiet (no time-series sampler thread, stall watchdog
-// disabled: the library default) and once with the process sampler
-// running at a service-like 250ms interval — times both, and
+// Runs the same fixed-seed swarm batch twice — once with no time-series
+// sampler thread (the library default) and once with the process
+// sampler running at a service-like 250ms interval — times both, and
 // cross-checks that the two batches produced bit-identical per-run
 // digests: the sampler only *reads* the registry's relaxed atomics and
 // must observe the pipeline, never participate in it. The overhead is

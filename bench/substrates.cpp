@@ -1,13 +1,13 @@
 // Substrate comparison: the same monitoring workload executed on the
-// three data paths this library provides —
+// two data paths this library provides —
 //
 //   sim      deterministic discrete-event simulator (virtual time),
-//   threads  in-process threaded runtime, serialized + framed messages,
-//   sockets  loopback UDP/TCP deployment through the kernel stack,
+//   service  the live AlertService: loopback UDP ingest, durable replica
+//            workers, AD thread (service::run_trace),
 //
 // reporting wall-clock runtime, update throughput, and (the important
-// part) that all three display the SAME alert key set for a lossless
-// run — the simulator's results transfer to the real data paths.
+// part) that both display the SAME alert key set for a lossless run —
+// the simulator's results transfer to the real data path.
 //
 //   ./bench/substrates [--updates 5000] [--ces 2] [--seed 10]
 #include <chrono>
@@ -16,8 +16,7 @@
 #include <set>
 
 #include "core/rcm.hpp"
-#include "net/deployment.hpp"
-#include "runtime/system.hpp"
+#include "service/run_trace.hpp"
 #include "sim/system.hpp"
 #include "trace/generators.hpp"
 #include "util/args.hpp"
@@ -62,7 +61,7 @@ int main(int argc, char** argv) {
   p.hi = 100.0;
   const auto trace = trace::uniform_trace(p, rng);
 
-  std::cout << "One workload, three data paths (lossless, " << updates
+  std::cout << "One workload, two data paths (lossless, " << updates
             << " updates, " << ces << " CEs, AD-1)\n\n";
   util::Table table(
       {"substrate", "wall time", "updates/s (per CE)", "alerts displayed"});
@@ -85,47 +84,31 @@ int main(int argc, char** argv) {
                    util::fmt_double(static_cast<double>(updates) / secs, 0),
                    std::to_string(r.displayed.size())});
   }
-  std::set<AlertKey> thread_keys;
+  std::set<AlertKey> service_keys;
+  bool lossless = true;
   {
-    runtime::ThreadedConfig config;
+    service::ServiceConfig config;
     config.condition = condition;
-    config.dm_traces = {trace};
-    config.num_ces = ces;
+    config.num_replicas = ces;
     config.filter = FilterKind::kAd1;
-    config.seed = seed;
     const auto t0 = std::chrono::steady_clock::now();
-    const auto r = runtime::run_threaded(config);
+    const auto r = service::run_trace(config, {trace}, 0.0, seed);
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    thread_keys = key_set(r.displayed);
-    table.add_row({"threads+wire", util::fmt_double(secs * 1000, 1) + "ms",
-                   util::fmt_double(static_cast<double>(updates) / secs, 0),
-                   std::to_string(r.displayed.size())});
-  }
-  std::set<AlertKey> socket_keys;
-  {
-    net::NetworkConfig config;
-    config.condition = condition;
-    config.dm_traces = {trace};
-    config.num_ces = ces;
-    config.filter = FilterKind::kAd1;
-    config.seed = seed;
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto r = net::run_networked(config);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    socket_keys = key_set(r.displayed);
-    table.add_row({"loopback sockets", util::fmt_double(secs * 1000, 1) + "ms",
+    service_keys = key_set(r.displayed);
+    for (const auto& journal : r.ce_inputs)
+      lossless = lossless && journal == r.dm_emitted[0];
+    table.add_row({"service", util::fmt_double(secs * 1000, 1) + "ms",
                    util::fmt_double(static_cast<double>(updates) / secs, 0),
                    std::to_string(r.displayed.size())});
   }
 
-  std::cout << table.render() << "\nalert key sets agree across substrates: "
-            << ((sim_keys == thread_keys && thread_keys == socket_keys)
-                    ? "YES"
-                    : "NO — BUG")
-            << "\n";
-  return (sim_keys == thread_keys && thread_keys == socket_keys) ? 0 : 1;
+  const bool agree = lossless && sim_keys == service_keys;
+  std::cout << table.render()
+            << "\nservice journals equal the sent stream: "
+            << (lossless ? "YES" : "NO — BUG")
+            << "\nalert key sets agree across substrates: "
+            << (sim_keys == service_keys ? "YES" : "NO — BUG") << "\n";
+  return agree ? 0 : 1;
 }

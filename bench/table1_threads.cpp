@@ -1,6 +1,7 @@
-// Realism check: Table 1's single-variable scenarios re-run on the
-// THREADED runtime (real OS threads, serialized + CRC-framed messages,
-// scheduler-driven interleavings) instead of the simulator.
+// Realism check: Table 1's single-variable scenarios re-run on the live
+// alert service (service::run_trace: real OS threads, loopback UDP
+// ingest, durable replica workers, scheduler-driven interleavings)
+// instead of the simulator.
 //
 // What must transfer exactly: every "yes" cell — the properties the
 // paper guarantees can never be violated, on any substrate, under any
@@ -17,7 +18,7 @@
 #include "check/properties.hpp"
 #include "exp/scenarios.hpp"
 #include "exp/table_experiment.hpp"
-#include "runtime/system.hpp"
+#include "service/run_trace.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
 
@@ -38,8 +39,8 @@ int main(int argc, char** argv) {
   const auto runs = static_cast<std::size_t>(args.get_int("runs"));
   const auto updates = static_cast<std::size_t>(args.get_int("updates"));
 
-  std::cout << "Table 1 on the threaded runtime (AD-1, 2 CE threads, real "
-               "wire protocol)\n"
+  std::cout << "Table 1 on the alert service (AD-1, 2 replica threads, "
+               "loopback UDP)\n"
             << runs << " runs per row; guaranteed ('yes') cells must show "
                "zero violations; 'NO' cells are informational on this "
                "substrate (no delay model)\n\n";
@@ -54,14 +55,13 @@ int main(int argc, char** argv) {
     util::Rng master{static_cast<std::uint64_t>(args.get_int("seed"))};
     for (std::size_t run = 0; run < runs; ++run) {
       util::Rng trial = master.fork(run + 1);
-      runtime::ThreadedConfig config;
+      service::ServiceConfig config;
       config.condition = spec.condition;
-      config.dm_traces = spec.make_traces(updates, trial);
-      config.num_ces = 2;
-      config.front_loss = spec.front_loss;
+      config.num_replicas = 2;
       config.filter = FilterKind::kAd1;
-      config.seed = trial();
-      const auto r = runtime::run_threaded(config);
+      const auto traces = spec.make_traces(updates, trial);
+      const auto r =
+          service::run_trace(config, traces, spec.front_loss, trial());
       const auto report =
           check::check_run(r.as_system_run(spec.condition));
       ++counts.runs;

@@ -15,7 +15,7 @@
 //   filter = AD-4                    # pass, drop, AD-1..AD-6
 //   loss = 0.2                       # front-link loss
 //   seed = 7
-//   substrate = sim                  # sim | threads | sockets
+//   substrate = sim                  # sim | service
 //   updates = 100                    # per workload
 //
 //   [workload temp]                  # one section per variable;
@@ -30,8 +30,7 @@
 #include "check/properties.hpp"
 #include "check/run_record.hpp"
 #include "core/rcm.hpp"
-#include "net/deployment.hpp"
-#include "runtime/system.hpp"
+#include "service/run_trace.hpp"
 #include "sim/system.hpp"
 #include "trace/generators.hpp"
 #include "trace/trace_io.hpp"
@@ -148,24 +147,12 @@ int run_lab(const util::Config& config) {
     sc.filter = filter;
     sc.seed = seed;
     result = sim::run_system(sc);
-  } else if (substrate == "threads") {
-    runtime::ThreadedConfig tc;
-    tc.condition = condition;
-    tc.dm_traces = traces;
-    tc.num_ces = ces;
-    tc.front_loss = loss;
-    tc.filter = filter;
-    tc.seed = seed;
-    result = runtime::run_threaded(tc);
-  } else if (substrate == "sockets") {
-    net::NetworkConfig nc;
-    nc.condition = condition;
-    nc.dm_traces = traces;
-    nc.num_ces = ces;
-    nc.front_loss = loss;
-    nc.filter = filter;
-    nc.seed = seed;
-    result = net::run_networked(nc);
+  } else if (substrate == "service") {
+    service::ServiceConfig svc;
+    svc.condition = condition;
+    svc.num_replicas = ces;
+    svc.filter = filter;
+    result = service::run_trace(svc, traces, loss, seed);
   } else {
     throw std::invalid_argument("unknown substrate '" + substrate + "'");
   }

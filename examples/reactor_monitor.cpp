@@ -1,7 +1,7 @@
-// Reactor monitoring on the threaded runtime: the paper's §1 scenario
-// with real OS threads — one Data Monitor thread per sensor, one thread
-// per replicated Condition Evaluator, one Alert Displayer thread, lossy
-// in-process "UDP" front channels and lossless "TCP" back channels.
+// Reactor monitoring on the live alert service: the paper's §1 scenario
+// with real OS threads and sockets — one Data Monitor thread per sensor
+// sending lossy UDP datagrams to every replicated Condition Evaluator,
+// each replica a durable worker thread, one Alert Displayer thread.
 //
 //   ./examples/reactor_monitor [--ces 3] [--loss 0.25] [--updates 200]
 //                              [--filter AD-4] [--seed 1]
@@ -13,7 +13,7 @@
 
 #include "check/properties.hpp"
 #include "core/rcm.hpp"
-#include "runtime/system.hpp"
+#include "service/run_trace.hpp"
 #include "trace/generators.hpp"
 #include "util/args.hpp"
 
@@ -47,19 +47,19 @@ int main(int argc, char** argv) {
   workload.baseline = 2700.0;
   workload.excursion_prob = 0.04;
 
-  rcm::runtime::ThreadedConfig config;
+  rcm::service::ServiceConfig config;
   config.condition = overheat;
-  config.dm_traces = {rcm::trace::reactor_trace(workload, rng)};
-  config.num_ces = static_cast<std::size_t>(args.get_int("ces"));
-  config.front_loss = args.get_double("loss");
+  config.num_replicas = static_cast<std::size_t>(args.get_int("ces"));
   config.filter = rcm::parse_filter_kind(args.get("filter"));
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
 
-  std::cout << "spawning 1 DM thread, " << config.num_ces
-            << " CE threads, 1 AD thread; loss " << args.get("loss")
+  std::cout << "spawning 1 DM thread, " << config.num_replicas
+            << " CE replica threads, 1 AD thread; loss " << args.get("loss")
             << ", filter " << rcm::filter_kind_name(config.filter) << "\n";
 
-  const rcm::sim::RunResult result = rcm::runtime::run_threaded(config);
+  const rcm::sim::RunResult result = rcm::service::run_trace(
+      config, {rcm::trace::reactor_trace(workload, rng)},
+      args.get_double("loss"),
+      static_cast<std::uint64_t>(args.get_int("seed")));
 
   std::cout << "DM emitted " << result.dm_emitted[0].size() << " readings; "
             << result.front_messages_dropped

@@ -38,7 +38,7 @@ struct AlertProvenance {
 };
 
 /// One Alert Displayer instance. Thread-compatible (externally
-/// synchronized); the threaded runtime wraps it in an actor with a queue.
+/// synchronized); the alert service wraps it in an actor with a queue.
 class AlertDisplayer {
  public:
   /// `sink` is invoked for every displayed alert; pass nullptr to only

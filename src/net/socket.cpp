@@ -90,6 +90,16 @@ void UdpSocket::send_to(std::uint16_t port,
                             "sendto: short datagram write");
 }
 
+bool UdpSocket::try_send_to(std::uint16_t port,
+                            std::span<const std::uint8_t> bytes) {
+  try {
+    send_to(port, bytes);
+    return true;
+  } catch (const std::system_error&) {
+    return false;
+  }
+}
+
 std::optional<std::vector<std::uint8_t>> UdpSocket::receive(
     std::chrono::milliseconds timeout) {
   if (!wait_readable(fd_.get(), timeout)) return std::nullopt;

@@ -1,11 +1,10 @@
 // Thin RAII wrappers over POSIX loopback sockets.
 //
-// This substrate deploys the monitoring pipeline over real kernel
+// The alert service (service/alert_service.hpp) runs over real kernel
 // sockets on 127.0.0.1: UDP datagrams for the front links (cheap,
 // connectionless, multicast-like — the paper's datagram argument) and
-// TCP streams for the back links (connection-oriented, lossless — the
-// paper's TCP argument). Loopback-only by design: the goal is a real
-// network data path for integration testing, not a deployment toolkit.
+// TCP streams to subscribers and the admin tool (connection-oriented,
+// lossless — the paper's TCP argument). Loopback-only by design.
 //
 // All operations throw std::system_error on OS errors; receive paths
 // take millisecond timeouts so shutdown flags can be polled.
@@ -59,6 +58,12 @@ class UdpSocket {
 
   /// Sends one datagram to 127.0.0.1:`port`.
   void send_to(std::uint16_t port, std::span<const std::uint8_t> bytes);
+
+  /// send_to for a lossy front link: a failed send is a lost datagram,
+  /// reported as false instead of thrown. A closed replica port can
+  /// surface as ECONNREFUSED on a later send (the ICMP echo of an earlier
+  /// drop); that IS the lossy link, not an error.
+  bool try_send_to(std::uint16_t port, std::span<const std::uint8_t> bytes);
 
   /// Receives one datagram, waiting up to `timeout`; nullopt on timeout.
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> receive(

@@ -1,5 +1,5 @@
-// Blocking MPMC queues used as actor inboxes in the threaded runtime and
-// as the task queue of runtime::ThreadPool.
+// Blocking MPMC queues: the alert service's replica-to-AD queue and the
+// task queue of runtime::ThreadPool.
 //
 // Closing a queue wakes all blocked consumers; pop() then drains any
 // remaining elements before reporting exhaustion, so no message is lost

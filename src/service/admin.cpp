@@ -20,7 +20,7 @@ void encode_status(wire::Writer& w, const ServiceStatus& s) {
   w.varint(s.displayed);
   w.varint(s.subscribers);
   w.varint(s.dm_ends);
-  w.varint(s.end_timeouts);
+  w.varint(0);  // reserved slot, see ServiceStatus
   w.varint(s.replicas.size());
   for (const ReplicaStatus& r : s.replicas) {
     w.u8(static_cast<std::uint8_t>(r.state));
@@ -39,7 +39,7 @@ ServiceStatus decode_status(wire::Reader& r) {
   s.displayed = r.varint();
   s.subscribers = r.varint();
   s.dm_ends = r.varint();
-  s.end_timeouts = r.varint();
+  (void)r.varint();  // reserved slot, see ServiceStatus
   const std::uint64_t n = r.varint();
   if (n > 4096) throw wire::DecodeError("admin status: replica count");
   s.replicas.reserve(n);

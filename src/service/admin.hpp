@@ -151,9 +151,8 @@ struct ServiceStatus {
   std::uint64_t displayed = 0;    ///< alerts passed by the AD filter
   std::uint64_t subscribers = 0;  ///< live alert subscriber connections
   std::uint64_t dm_ends = 0;      ///< distinct DM END markers seen
-  /// CE receive loops that gave up waiting for END markers (process-wide
-  /// obs counter `net.ce.end_timeouts`; 0 under -DRCM_NO_METRICS).
-  std::uint64_t end_timeouts = 0;
+  // The wire slot after dm_ends is reserved: always encoded as 0 and
+  // skipped on decode, so the status layout stays what older peers read.
   std::vector<ReplicaStatus> replicas;
   /// Per-session cursors (2.1+ servers; empty from older ones). The
   /// extension payload is bounded, so a huge fleet is truncated to the

@@ -6,7 +6,6 @@
 #include <system_error>
 #include <utility>
 
-#include "net/deployment.hpp"  // encode_end_marker / decode_end_marker
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "service/shard_cluster.hpp"  // kMergeShardId for the health role
@@ -216,7 +215,7 @@ void AlertService::monitor_loop() {
     // Stall watchdog, piggybacked on the monitor's tick. Runs outside
     // the lifecycle lock (collect_degradations takes it briefly itself)
     // so a slow heartbeat sweep never delays a crash restart.
-    if (config_.watchdog_enabled && ++ticks % kWatchdogEvery == 0) {
+    if (++ticks % kWatchdogEvery == 0) {
       const std::vector<wire::Degradation> degs = collect_degradations();
       if (watchdog_alerts_.on_check(degs.size()).has_value()) {
         RCM_COUNT("service.watchdog.alerts");
@@ -269,7 +268,7 @@ void AlertService::worker_loop(std::size_t index,
       ingested_.fetch_add(1, std::memory_order_relaxed);
       cursor.feed(*datagram);
       while (auto payload = cursor.next()) {
-        if (auto dm = net::decode_end_marker(*payload)) {
+        if (auto dm = wire::decode_end_marker(*payload)) {
           note_dm_end(*dm);
           continue;
         }
@@ -596,11 +595,6 @@ ServiceStatus AlertService::status() {
     st.total_owned = st.owned.size();
     s.shard = std::move(st);
   }
-#if RCM_METRICS_ENABLED
-  // Process-wide END-timeout count (satellite of the obs layer): covers
-  // every CE loop in this process, not just this service instance.
-  s.end_timeouts = obs::registry().counter("net.ce.end_timeouts").value();
-#endif
   std::lock_guard g{lifecycle_mutex_};
   for (const auto& slot : slots_) {
     ReplicaStatus rs;
@@ -875,6 +869,11 @@ bool AlertService::await_idle(std::chrono::milliseconds idle,
 std::vector<Alert> AlertService::displayed() const {
   std::lock_guard g{display_mutex_};
   return displayer_.displayed();
+}
+
+std::vector<Alert> AlertService::arrived() const {
+  std::lock_guard g{display_mutex_};
+  return displayer_.arrived();
 }
 
 std::vector<AlertProvenance> AlertService::provenance() const {

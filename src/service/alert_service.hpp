@@ -100,9 +100,6 @@ struct ServiceConfig {
   /// in the instance health document and through the dogfooded
   /// `service.watchdog.degraded` condition-language alert.
   WatchdogOptions watchdog;
-  /// Turn off to skip the periodic watchdog evaluation entirely
-  /// (bench/health_overhead measures exactly this delta).
-  bool watchdog_enabled = true;
 
   /// Monitor thread restarts crashed/killed replicas after backoff.
   /// Turn off for tests that want manual kill/restart control.
@@ -194,6 +191,8 @@ class AlertService {
   // ---- instrumentation (tests / checkers) ------------------------------
   /// Snapshot of the displayed-alert sequence so far.
   [[nodiscard]] std::vector<Alert> displayed() const;
+  /// Snapshot of every alert that reached the AD, shown or suppressed.
+  [[nodiscard]] std::vector<Alert> arrived() const;
   /// Snapshot of the AD provenance records so far (one per arrival:
   /// triggering (var, seq) updates, judging filter, verdict + reason).
   [[nodiscard]] std::vector<AlertProvenance> provenance() const;

@@ -78,9 +78,6 @@ int main(int argc, char** argv) {
   args.add_flag("prom-port", "-1",
                 "serve Prometheus text exposition (GET /metrics) on this "
                 "loopback TCP port (0 = ephemeral, -1 = off)");
-  args.add_flag("no-watchdog", "false",
-                "disable the stall watchdog (health documents report no "
-                "heartbeat/latency degradations)");
 
   if (!args.parse(argc, argv)) {
     std::fprintf(stderr, "%s\n%s", args.error().c_str(),
@@ -129,7 +126,6 @@ int main(int argc, char** argv) {
           static_cast<std::size_t>(args.get_int("checkpoint-every"));
       config.record_journal = args.get_bool("journal");
       config.auto_restart = !args.get_bool("no-auto-restart");
-      config.watchdog_enabled = !args.get_bool("no-watchdog");
       if (config.data_dir.empty()) {
         std::fprintf(stderr, "--data-dir is required\n");
         return 2;
@@ -193,7 +189,6 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(args.get_int("checkpoint-every"));
     config.record_journal = args.get_bool("journal");
     config.auto_restart = !args.get_bool("no-auto-restart");
-    config.watchdog_enabled = !args.get_bool("no-watchdog");
     if (config.data_dir.empty()) {
       std::fprintf(stderr, "--data-dir is required\n");
       return 2;

@@ -45,7 +45,6 @@
 #include <thread>
 #include <vector>
 
-#include "net/deployment.hpp"
 #include "net/socket.hpp"
 #include "obs/trace.hpp"
 #include "service/admin.hpp"
@@ -94,12 +93,11 @@ service::AdminResponse admin_exchange(std::uint16_t port,
 
 void print_status(const service::ServiceStatus& s) {
   std::printf("datagrams in: %llu   displayed: %llu   subscribers: %llu   "
-              "dm-ends: %llu   end-timeouts: %llu\n",
+              "dm-ends: %llu\n",
               static_cast<unsigned long long>(s.ingested_datagrams),
               static_cast<unsigned long long>(s.displayed),
               static_cast<unsigned long long>(s.subscribers),
-              static_cast<unsigned long long>(s.dm_ends),
-              static_cast<unsigned long long>(s.end_timeouts));
+              static_cast<unsigned long long>(s.dm_ends));
   for (std::size_t i = 0; i < s.replicas.size(); ++i) {
     const service::ReplicaStatus& r = s.replicas[i];
     std::printf("replica %zu: %s  port %u  incarnation %llu  accepted %llu  "
@@ -153,13 +151,11 @@ void print_status(const service::ServiceStatus& s) {
 void print_status_json(const service::ServiceStatus& s,
                        const std::string* health) {
   std::printf("{\"ingested_datagrams\": %llu, \"displayed\": %llu, "
-              "\"subscribers\": %llu, \"dm_ends\": %llu, "
-              "\"end_timeouts\": %llu, \"replicas\": [",
+              "\"subscribers\": %llu, \"dm_ends\": %llu, \"replicas\": [",
               static_cast<unsigned long long>(s.ingested_datagrams),
               static_cast<unsigned long long>(s.displayed),
               static_cast<unsigned long long>(s.subscribers),
-              static_cast<unsigned long long>(s.dm_ends),
-              static_cast<unsigned long long>(s.end_timeouts));
+              static_cast<unsigned long long>(s.dm_ends));
   for (std::size_t i = 0; i < s.replicas.size(); ++i) {
     const service::ReplicaStatus& r = s.replicas[i];
     std::printf("%s{\"index\": %zu, \"state\": \"%s\", \"port\": %u, "
@@ -381,7 +377,7 @@ int run_feed(const std::vector<std::uint16_t>& ports, std::size_t updates,
     for (const std::uint16_t p : ports) socket.send_to(p, framed);
     if (gap.count() > 0) std::this_thread::sleep_for(gap);
   }
-  const auto end = wire::frame(net::encode_end_marker(0));
+  const auto end = wire::frame(wire::encode_end_marker(0));
   for (const std::uint16_t p : ports) socket.send_to(p, end);
   std::printf("fed %zu updates (+END) to %zu replica port(s)\n", t.size(),
               ports.size());

@@ -116,7 +116,6 @@ ShardedCluster::ShardedCluster(ShardClusterConfig config)
     mc.auto_restart = config_.auto_restart;
     mc.backoff = config_.backoff;
     mc.poll_interval = config_.poll_interval;
-    mc.watchdog_enabled = config_.watchdog_enabled;
     mc.watchdog = config_.watchdog;
     mc.shard = ShardIdentity{kMergeShardId, epoch_};
     mc.health_endpoints_provider = [this] {
@@ -187,7 +186,6 @@ void ShardedCluster::build_shard_locked(ShardSlot& slot) {
   sc.auto_restart = config_.auto_restart;
   sc.backoff = config_.backoff;
   sc.poll_interval = config_.poll_interval;
-  sc.watchdog_enabled = config_.watchdog_enabled;
   sc.watchdog = config_.watchdog;
   sc.shard = ShardIdentity{slot.shard_id, epoch_};
   sc.shard_map_provider = [this] {

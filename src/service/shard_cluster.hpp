@@ -70,7 +70,6 @@ struct ShardClusterConfig {
   BackoffPolicy backoff;
   std::chrono::milliseconds poll_interval{20};
   /// Propagated to every instance (shards + merge tier).
-  bool watchdog_enabled = true;
   WatchdogOptions watchdog;
 };
 

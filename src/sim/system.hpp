@@ -61,18 +61,10 @@ struct RunResult {
   std::vector<std::vector<Alert>> ce_outputs;  ///< A_i = T(U_i) per CE
   std::vector<std::vector<Update>> dm_emitted; ///< U per DM
   /// Virtual display time of each alert in `displayed` (parallel array;
-  /// empty for threaded-runtime runs, which have no virtual clock).
+  /// empty for service runs, which have no virtual clock).
   std::vector<double> display_times;
   std::size_t front_messages_dropped = 0;
   std::size_t events_executed = 0;
-  /// Frames the threaded runtime's decoders rejected (0 for simulator
-  /// runs and for healthy transports; nonzero indicates corruption).
-  std::size_t wire_corrupt_frames = 0;
-  /// CEs that gave up waiting for the per-DM END markers and finished on
-  /// the idle timeout instead (socket deployments only; see
-  /// net/deployment.hpp). Nonzero means the run's end-of-stream signal
-  /// was lost, not that data was — the observables are still usable.
-  std::size_t ce_end_timeouts = 0;
 
   /// Packages the run for the property checkers.
   [[nodiscard]] check::SystemRun as_system_run(ConditionPtr condition) const;

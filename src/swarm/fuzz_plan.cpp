@@ -4,7 +4,6 @@
 #include <map>
 #include <set>
 #include <sstream>
-#include <system_error>
 
 #include "check/properties.hpp"
 #include "core/evaluator.hpp"
@@ -89,16 +88,6 @@ RunPlan make_service_plan(util::Rng& rng) {
               return a.at_step < b.at_step;
             });
   return plan;
-}
-
-void send_ignoring_errors(net::UdpSocket& socket, std::uint16_t port,
-                          std::span<const std::uint8_t> bytes) {
-  try {
-    socket.send_to(port, bytes);
-  } catch (const std::system_error&) {
-    // A closed replica port can surface as ECONNREFUSED on a later send
-    // (ICMP unreachable); that IS the lossy link, not an error.
-  }
 }
 
 std::vector<std::string> check_service_run(

@@ -18,7 +18,6 @@
 #include "core/filters.hpp"
 #include "core/types.hpp"
 #include "exp/scenarios.hpp"
-#include "net/socket.hpp"
 #include "service/alert_service.hpp"
 #include "swarm/spec.hpp"
 #include "util/rng.hpp"
@@ -57,10 +56,6 @@ struct RunPlan {
 /// table for its arity, replica/checkpoint shape, an interleaved feed
 /// with per-variable ascending seqnos, and a kill schedule.
 [[nodiscard]] RunPlan make_service_plan(util::Rng& rng);
-
-/// UDP send that treats a dead replica port as the lossy link it is.
-void send_ignoring_errors(net::UdpSocket& socket, std::uint16_t port,
-                          std::span<const std::uint8_t> bytes);
 
 /// The crash/upgrade-fuzz oracle: journal invariants, displayed ⊆
 /// raised, provenance consistency, then the paper table for the cell

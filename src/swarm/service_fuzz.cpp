@@ -11,7 +11,6 @@
 
 #include <map>
 
-#include "net/deployment.hpp"
 #include "net/socket.hpp"
 #include "service/alert_service.hpp"
 #include "service/health.hpp"
@@ -446,10 +445,9 @@ std::vector<std::string> run_sharded_iteration(
     const auto framed = wire::frame(wire::encode_update(u));
     const auto& owner_ports = router.ports.at(router.ring.owner(u.var));
     for (const std::uint16_t port : owner_ports)
-      send_ignoring_errors(feeder, port, framed);
+      feeder.try_send_to(port, framed);
     if (plan.dup_prob > 0 && rng.bernoulli(plan.dup_prob))
-      send_ignoring_errors(
-          feeder,
+      feeder.try_send_to(
           owner_ports[static_cast<std::size_t>(rng.uniform_int(
               0, static_cast<std::int64_t>(owner_ports.size()) - 1))],
           framed);
@@ -459,13 +457,13 @@ std::vector<std::string> run_sharded_iteration(
   // tier hears the ENDs directly (on_accept only forwards updates).
   for (int attempt = 0; attempt < 40; ++attempt) {
     for (std::size_t var = 0; var < arity; ++var) {
-      const auto end = wire::frame(net::encode_end_marker(var));
+      const auto end = wire::frame(wire::encode_end_marker(var));
       for (const auto& [id, ports] : router.ports)
         for (const std::uint16_t port : ports)
-          send_ignoring_errors(feeder, port, end);
+          feeder.try_send_to(port, end);
       if (service::AlertService* merge = cluster.merge())
         for (const std::uint16_t port : merge->replica_ports())
-          send_ignoring_errors(feeder, port, end);
+          feeder.try_send_to(port, end);
     }
     if (cluster.evaluating_service().await_dm_ends(
             arity, std::chrono::milliseconds{100}))
@@ -620,10 +618,9 @@ ServiceFuzzReport run_service_fuzz(const ServiceFuzzOptions& options) {
         const auto framed =
             wire::frame(wire::encode_update(plan.feed[step]));
         for (const std::uint16_t port : ports)
-          send_ignoring_errors(feeder, port, framed);
+          feeder.try_send_to(port, framed);
         if (plan.dup_prob > 0 && rng.bernoulli(plan.dup_prob))
-          send_ignoring_errors(
-              feeder,
+          feeder.try_send_to(
               ports[static_cast<std::size_t>(rng.uniform_int(
                   0, static_cast<std::int64_t>(ports.size()) - 1))],
               framed);
@@ -634,9 +631,9 @@ ServiceFuzzReport run_service_fuzz(const ServiceFuzzOptions& options) {
       for (std::size_t r = 0; r < plan.replicas; ++r) svc.restart_replica(r);
       for (int attempt = 0; attempt < 40; ++attempt) {
         for (std::size_t var = 0; var < arity; ++var) {
-          const auto end = wire::frame(net::encode_end_marker(var));
+          const auto end = wire::frame(wire::encode_end_marker(var));
           for (const std::uint16_t port : ports)
-            send_ignoring_errors(feeder, port, end);
+            feeder.try_send_to(port, end);
         }
         if (svc.await_dm_ends(arity, std::chrono::milliseconds{100})) break;
       }

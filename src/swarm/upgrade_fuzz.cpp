@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/evaluator.hpp"
-#include "net/deployment.hpp"
 #include "net/socket.hpp"
 #include "service/alert_service.hpp"
 #include "service/durable_replica.hpp"
@@ -228,7 +227,7 @@ UpgradeFuzzReport run_upgrade_fuzz(const UpgradeFuzzOptions& options) {
       for (std::size_t step = 0; step < split; ++step) {
         const auto framed = wire::frame(wire::encode_update(plan.feed[step]));
         for (const std::uint16_t port : ports)
-          send_ignoring_errors(feeder, port, framed);
+          feeder.try_send_to(port, framed);
       }
       (void)svc.await_idle(std::chrono::milliseconds{60},
                            std::chrono::milliseconds{5000});
@@ -290,7 +289,7 @@ UpgradeFuzzReport run_upgrade_fuzz(const UpgradeFuzzOptions& options) {
         const auto framed =
             wire::frame(wire::encode_update(plan.feed[split + step]));
         for (const std::uint16_t port : ports)
-          send_ignoring_errors(feeder, port, framed);
+          feeder.try_send_to(port, framed);
         // Cross-version duplicate: resend a phase-A update the replicas
         // accepted under the OLD format. The recovered v1 watermarks
         // must drop it; a regression shows up as a journal-monotonicity
@@ -298,8 +297,7 @@ UpgradeFuzzReport run_upgrade_fuzz(const UpgradeFuzzOptions& options) {
         if (split > 0 && rng.bernoulli(0.1)) {
           const Update& dup = plan.feed[static_cast<std::size_t>(
               rng.uniform_int(0, static_cast<std::int64_t>(split) - 1))];
-          send_ignoring_errors(
-              feeder,
+          feeder.try_send_to(
               ports[static_cast<std::size_t>(rng.uniform_int(
                   0, static_cast<std::int64_t>(ports.size()) - 1))],
               wire::frame(wire::encode_update(dup)));
@@ -310,9 +308,9 @@ UpgradeFuzzReport run_upgrade_fuzz(const UpgradeFuzzOptions& options) {
       for (std::size_t r = 0; r < plan.replicas; ++r) svc.restart_replica(r);
       for (int attempt = 0; attempt < 40; ++attempt) {
         for (std::size_t var = 0; var < arity; ++var) {
-          const auto end = wire::frame(net::encode_end_marker(var));
+          const auto end = wire::frame(wire::encode_end_marker(var));
           for (const std::uint16_t port : ports)
-            send_ignoring_errors(feeder, port, end);
+            feeder.try_send_to(port, end);
         }
         if (svc.await_dm_ends(arity, std::chrono::milliseconds{100})) break;
       }

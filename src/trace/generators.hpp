@@ -15,8 +15,8 @@
 //                     where trigger probability should be controllable.
 //
 // Each update carries a timestamp (the DM's emission time); the
-// discrete-event simulator schedules from it and the threaded runtime
-// replays it scaled to wall-clock time.
+// discrete-event simulator schedules from it; the alert service replays
+// the updates in order at full speed (service/run_trace.hpp).
 #pragma once
 
 #include <vector>

@@ -19,6 +19,10 @@ constexpr std::size_t kMaxWindow = 4096;
 constexpr std::uint8_t kTraceExtTag = 0x54;  // 'T'
 constexpr std::size_t kMaxExtensionLen = 256;
 
+// END-of-stream datagram payload prefix ("END"), followed by a varint DM
+// index so a receiver counts *distinct* finished DMs, not END datagrams.
+constexpr std::uint8_t kEndMagic[3] = {0x45, 0x4E, 0x44};
+
 UpdateMessage decode_update_impl(std::span<const std::uint8_t> bytes) {
   Reader r{bytes};
   if (r.u8() != kUpdateTag) throw DecodeError("not an update message");
@@ -77,6 +81,28 @@ Update decode_update(std::span<const std::uint8_t> bytes) {
 
 UpdateMessage decode_update_message(std::span<const std::uint8_t> bytes) {
   return decode_update_impl(bytes);
+}
+
+std::vector<std::uint8_t> encode_end_marker(std::size_t dm_index) {
+  Writer w;
+  for (std::uint8_t b : kEndMagic) w.u8(b);
+  w.varint(dm_index);
+  return w.take();
+}
+
+std::optional<std::size_t> decode_end_marker(
+    std::span<const std::uint8_t> payload) {
+  if (payload.size() < sizeof(kEndMagic)) return std::nullopt;
+  for (std::size_t i = 0; i < sizeof(kEndMagic); ++i)
+    if (payload[i] != kEndMagic[i]) return std::nullopt;
+  try {
+    Reader r{payload.subspan(sizeof(kEndMagic))};
+    const std::uint64_t dm = r.varint();
+    r.expect_done();
+    return static_cast<std::size_t>(dm);
+  } catch (const DecodeError&) {
+    return std::nullopt;
+  }
 }
 
 std::vector<std::uint8_t> encode_alert(const Alert& a,

@@ -14,8 +14,10 @@
 //                    AD-1's pure equality test).
 //
 // Decoding yields a DecodedAlert that tags which fidelity arrived; the
-// threaded runtime uses kSeqnosOnly... encodings are also compared in
-// bench/ablation_wire.
+// encodings are compared in bench/ablation_wire.
+//
+// The front links also carry one control datagram: a DM's END marker,
+// which tells the receiving CE that the DM's stream is over.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +65,14 @@ struct UpdateMessage {
 /// present); throws DecodeError on malformed input.
 [[nodiscard]] UpdateMessage decode_update_message(
     std::span<const std::uint8_t> bytes);
+
+/// Framed datagram payload marking end-of-stream for DM `dm_index`.
+[[nodiscard]] std::vector<std::uint8_t> encode_end_marker(
+    std::size_t dm_index);
+
+/// Decodes an END marker payload; nullopt if `payload` is not one.
+[[nodiscard]] std::optional<std::size_t> decode_end_marker(
+    std::span<const std::uint8_t> payload);
 
 /// Encodes one alert at the chosen fidelity.
 [[nodiscard]] std::vector<std::uint8_t> encode_alert(const Alert& a,

@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "net/deployment.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"

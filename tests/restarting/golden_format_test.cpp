@@ -17,6 +17,7 @@
 #include "swarm/fuzzer.hpp"
 #include "swarm/record.hpp"
 #include "v1_corpus.hpp"
+#include "wire/codec.hpp"
 #include "wire/frame.hpp"
 #include "wire/health.hpp"
 #include "wire/legacy.hpp"
@@ -211,6 +212,19 @@ TEST(GoldenFormat, HealthRequestDecodesWithInstanceScope) {
   out.command = service::AdminCommand::kHealth;
   out.scope = service::HealthScope::kInstance;
   EXPECT_EQ(service::encode_admin_request(out), bytes);
+}
+
+TEST(GoldenFormat, EndMarkerDatagramDecodesAndReencodes) {
+  // Every DM on the wire ends its stream with this datagram; a data
+  // manager and a service from either side of the boundary must agree.
+  const auto bytes = fixture_bytes("end_marker.v1.bin");
+  wire::FrameCursor cursor;
+  cursor.feed(bytes);
+  const auto payload = cursor.next();
+  ASSERT_TRUE(payload.has_value());
+  EXPECT_EQ(wire::decode_end_marker(*payload), std::optional<std::size_t>{300});
+  EXPECT_FALSE(cursor.next().has_value());
+  EXPECT_EQ(wire::frame(wire::encode_end_marker(300)), bytes);
 }
 
 TEST(GoldenFormat, HealthDocumentDecodesToTheFrozenState) {

@@ -14,7 +14,6 @@
 #include <thread>
 
 #include "core/evaluator.hpp"
-#include "net/deployment.hpp"
 #include "net/socket.hpp"
 #include "service/admin.hpp"
 #include "service/alert_service.hpp"
@@ -156,12 +155,7 @@ TEST(Restarting, LiveServiceOverV1StateUnderKillsAndDuplicates) {
     net::UdpSocket udp{0};
     const auto send_all = [&](std::span<const std::uint8_t> payload) {
       const auto framed = wire::frame(payload);
-      for (std::uint16_t port : ports) {
-        try {
-          udp.send_to(port, framed);
-        } catch (const std::system_error&) {
-        }
-      }
+      for (std::uint16_t port : ports) udp.try_send_to(port, framed);
     };
 
     // Every update the v1 epoch already accepted comes around again —
@@ -179,7 +173,7 @@ TEST(Restarting, LiveServiceOverV1StateUnderKillsAndDuplicates) {
           Update{0, s, (s % 2 == 1) ? 80.0 : 20.0}));
       std::this_thread::sleep_for(1ms);
     }
-    const auto marker = net::encode_end_marker(0);
+    const auto marker = wire::encode_end_marker(0);
     for (int attempt = 0; attempt < 50; ++attempt) {
       send_all(marker);
       if (svc.await_dm_ends(1, 100ms)) break;

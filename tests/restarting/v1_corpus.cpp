@@ -213,6 +213,12 @@ std::vector<V1Fixture> build_v1_corpus() {
                     {0x09, 0x00, 0x02, 0x56, 0x02, 0x02, 0x03, 0x43, 0x01,
                      0x01}});
   corpus.push_back({"health.v1.bin", build_health_fixture()});
+  // A DM's END datagram as it crosses the front link, written by hand:
+  // frame magic 0xCE 0x01 | payload length 5 | "END" | DM index 300 as a
+  // varint (0xAC 0x02) | CRC-32 of the payload.
+  corpus.push_back({"end_marker.v1.bin",
+                    {0xCE, 0x01, 0x05, 0x45, 0x4E, 0x44, 0xAC, 0x02, 0xFF,
+                     0xB8, 0xD5, 0xB6}});
   return corpus;
 }
 

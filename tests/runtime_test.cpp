@@ -1,25 +1,15 @@
-// Tests for the threaded runtime: the blocking queue, lossy channels and
-// full threaded system runs, whose outputs are validated with the same
-// property checkers as the simulator's.
+// Tests for the blocking MPMC queue behind the alert service's AD queue
+// and runtime::ThreadPool.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <thread>
+#include <vector>
 
-#include "check/properties.hpp"
-#include "core/builtin_conditions.hpp"
-#include "core/sequence.hpp"
-#include "runtime/channel.hpp"
 #include "runtime/queue.hpp"
-#include "runtime/system.hpp"
-#include "trace/generators.hpp"
-#include "trace/scripted.hpp"
 
 namespace rcm::runtime {
 namespace {
-
-constexpr VarId kX = 0;
 
 TEST(BlockingQueue, FifoSingleThread) {
   BlockingQueue<int> q;
@@ -93,139 +83,6 @@ TEST(BlockingQueue, ManyProducersOneConsumer) {
     EXPECT_GT(v % kPerProducer, last[p]);
     last[p] = v % kPerProducer;
   }
-}
-
-TEST(Channel, LosslessDeliversAll) {
-  auto inbox = std::make_shared<BlockingQueue<int>>();
-  Channel<int> ch{inbox, 0.0, util::Rng{1}};
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(ch.send(i));
-  EXPECT_EQ(inbox->size(), 100u);
-  EXPECT_EQ(ch.dropped(), 0u);
-}
-
-TEST(Channel, LossyDropsAboutRate) {
-  auto inbox = std::make_shared<BlockingQueue<int>>();
-  Channel<int> ch{inbox, 0.4, util::Rng{2}};
-  const int n = 10000;
-  for (int i = 0; i < n; ++i) (void)ch.send(i);
-  EXPECT_NEAR(static_cast<double>(ch.dropped()) / n, 0.4, 0.03);
-  EXPECT_EQ(inbox->size() + ch.dropped(), static_cast<std::size_t>(n));
-}
-
-// ----------------------------------------------------- threaded system ----
-
-ConditionPtr overheat() {
-  return std::make_shared<const ThresholdCondition>("hot", kX, 3000.0);
-}
-
-TEST(RunThreaded, ValidatesConfig) {
-  EXPECT_THROW((void)run_threaded(ThreadedConfig{}), std::invalid_argument);
-  ThreadedConfig config;
-  config.condition = overheat();
-  config.num_ces = 0;
-  EXPECT_THROW((void)run_threaded(config), std::invalid_argument);
-}
-
-TEST(RunThreaded, LosslessReplicatedIsCompleteAndConsistent) {
-  ThreadedConfig config;
-  config.condition = overheat();
-  config.dm_traces = {trace::scripted(
-      kX, {{1, 2900.0}, {2, 3100.0}, {3, 2950.0}, {4, 3200.0}, {5, 3050.0}})};
-  config.num_ces = 2;
-  config.filter = FilterKind::kAd1;
-  const sim::RunResult r = run_threaded(config);
-  // Lossless: both CEs saw everything.
-  EXPECT_EQ(r.ce_inputs[0].size(), 5u);
-  EXPECT_EQ(r.ce_inputs[1].size(), 5u);
-  const auto report = check::check_run(r.as_system_run(config.condition));
-  EXPECT_EQ(report.complete, check::Verdict::kHolds);
-  EXPECT_EQ(report.consistent, check::Verdict::kHolds);
-  EXPECT_EQ(report.ordered, check::Verdict::kHolds);  // Theorem 1
-}
-
-TEST(RunThreaded, LossyRunDeliversSubsequences) {
-  ThreadedConfig config;
-  config.condition = overheat();
-  util::Rng rng{9};
-  trace::UniformParams p;
-  p.base.var = kX;
-  p.base.count = 200;
-  p.lo = 2000.0;
-  p.hi = 4000.0;
-  config.dm_traces = {trace::uniform_trace(p, rng)};
-  config.num_ces = 3;
-  config.front_loss = 0.3;
-  config.filter = FilterKind::kAd1;
-  const sim::RunResult r = run_threaded(config);
-  EXPECT_GT(r.front_messages_dropped, 0u);
-  const auto emitted = project(std::span<const Update>{r.dm_emitted[0]}, kX);
-  for (const auto& input : r.ce_inputs) {
-    const auto seqs = project(std::span<const Update>{input}, kX);
-    EXPECT_TRUE(is_subsequence(seqs, emitted));
-    EXPECT_LT(seqs.size(), emitted.size());
-  }
-}
-
-TEST(RunThreaded, Ad4OutputIsOrderedAndConsistentUnderRealConcurrency) {
-  // Stress: aggressive historical condition, heavy loss, three replicas,
-  // real thread interleavings. AD-4's guarantees must hold in every run.
-  auto rise = std::make_shared<const RiseCondition>("rise", kX, 10.0,
-                                                    Triggering::kAggressive);
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    ThreadedConfig config;
-    config.condition = rise;
-    util::Rng rng{seed};
-    trace::UniformParams p;
-    p.base.var = kX;
-    p.base.count = 150;
-    p.lo = 0.0;
-    p.hi = 100.0;
-    config.dm_traces = {trace::uniform_trace(p, rng)};
-    config.num_ces = 3;
-    config.front_loss = 0.25;
-    config.filter = FilterKind::kAd4;
-    config.seed = seed;
-    const sim::RunResult r = run_threaded(config);
-    const auto run = r.as_system_run(rise);
-    EXPECT_TRUE(check::check_ordered(r.displayed, {kX})) << "seed " << seed;
-    EXPECT_EQ(check::check_run(run).consistent, check::Verdict::kHolds)
-        << "seed " << seed;
-  }
-}
-
-TEST(RunThreaded, TimeScaleReplaysApproximatelyInRealTime) {
-  ThreadedConfig config;
-  config.condition = overheat();
-  config.dm_traces = {trace::scripted(kX, {{1, 3100.0}, {2, 3200.0}})};
-  config.num_ces = 1;
-  config.time_scale = 0.02;  // trace spans 2s -> ~40ms wall clock
-  const auto start = std::chrono::steady_clock::now();
-  (void)run_threaded(config);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_GE(elapsed, std::chrono::milliseconds(35));
-}
-
-TEST(RunThreaded, MultiVariableThreadedRun) {
-  auto cm = std::make_shared<const AbsDiffCondition>("cm", 0, 1, 30.0);
-  ThreadedConfig config;
-  config.condition = cm;
-  util::Rng rng{11};
-  trace::UniformParams px, py;
-  px.base.var = 0;
-  px.base.count = 100;
-  px.lo = 0.0;
-  px.hi = 100.0;
-  py.base.var = 1;
-  py.base.count = 100;
-  py.lo = 0.0;
-  py.hi = 100.0;
-  config.dm_traces = {trace::uniform_trace(px, rng),
-                      trace::uniform_trace(py, rng)};
-  config.num_ces = 2;
-  config.filter = FilterKind::kAd5;
-  const sim::RunResult r = run_threaded(config);
-  // AD-5 guarantees orderedness under any interleaving (Lemma 4).
-  EXPECT_TRUE(check::check_ordered(r.displayed, {0, 1}));
 }
 
 }  // namespace

@@ -9,23 +9,27 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <set>
 #include <string_view>
 #include <system_error>
 #include <thread>
 #include <vector>
 
 #include "check/properties.hpp"
+#include "core/builtin_conditions.hpp"
 #include "core/displayer.hpp"
 #include "core/evaluator.hpp"
 #include "core/filters.hpp"
-#include "net/deployment.hpp"
+#include "core/sequence.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/admin.hpp"
 #include "service/alert_service.hpp"
+#include "service/run_trace.hpp"
 #include "service/supervisor.hpp"
 #include "swarm/spec.hpp"
+#include "trace/scripted.hpp"
 #include "wire/codec.hpp"
 #include "wire/frame.hpp"
 
@@ -54,29 +58,12 @@ std::vector<Update> make_trace(std::size_t n) {
   return trace;
 }
 
-/// Sends one framed payload to every port. Datagrams to a killed
-/// replica's closed port may surface ECONNREFUSED (the ICMP echo of the
-/// paper's lossy link) — that loss is exactly what we are testing.
-void send_frame(net::UdpSocket& udp, const std::vector<std::uint16_t>& ports,
-                std::span<const std::uint8_t> payload) {
-  const std::vector<std::uint8_t> framed = wire::frame(payload);
-  for (std::uint16_t port : ports) {
-    try {
-      udp.send_to(port, framed);
-    } catch (const std::system_error&) {
-    }
-  }
-}
-
-/// Sends END markers until the service acknowledges them durably.
-void deliver_ends(net::UdpSocket& udp, AlertService& svc,
-                  const std::vector<std::uint16_t>& ports) {
-  const std::vector<std::uint8_t> marker = net::encode_end_marker(0);
-  for (int attempt = 0; attempt < 50; ++attempt) {
-    send_frame(udp, ports, marker);
-    if (svc.await_dm_ends(1, 100ms)) return;
-  }
-  FAIL() << "END marker never acknowledged";
+/// Sends every update, framed, to every replica port.
+void feed(net::UdpSocket& udp, const std::vector<std::uint16_t>& ports,
+          const std::vector<Update>& trace) {
+  for (const Update& u : trace)
+    for (const std::uint16_t port : ports)
+      udp.try_send_to(port, wire::frame(wire::encode_update(u)));
 }
 
 /// The non-replicated reference: one CE, one AD, the full stream.
@@ -284,12 +271,14 @@ TEST(AlertServiceE2E, KillRestartMatchesNonReplicatedVerdicts) {
     for (std::size_t k = 0; k < trace.size(); ++k) {
       if (k == 15) svc.kill_replica(1);   // crash mid-stream
       if (k == 25) svc.restart_replica(1);  // rejoin from checkpoint+WAL
-      send_frame(udp, ports, wire::encode_update(trace[k]));
+      feed(udp, ports, {trace[k]});
       // Pace the stream so live replicas keep up in lockstep; the AD-4
       // verdict comparison assumes no cross-replica alert reordering.
       std::this_thread::sleep_for(2ms);
     }
-    deliver_ends(udp, svc, ports);
+    for (const std::uint16_t port : ports)
+      udp.try_send_to(port, wire::frame(wire::encode_end_marker(0)));
+    ASSERT_TRUE(svc.await_dm_ends(1, 5s));
     ASSERT_TRUE(svc.await_idle(80ms, 5s));
     svc.drain();
 
@@ -350,8 +339,10 @@ TEST(AlertService, SubscriberReceivesEveryDisplayedAlertFramed) {
   const std::vector<Update> trace = make_trace(20);
   const std::vector<std::uint16_t> ports = svc.replica_ports();
   net::UdpSocket udp{0};
-  for (const Update& u : trace) send_frame(udp, ports, wire::encode_update(u));
-  deliver_ends(udp, svc, ports);
+  feed(udp, ports, trace);
+  for (const std::uint16_t port : ports)
+    udp.try_send_to(port, wire::frame(wire::encode_end_marker(0)));
+  ASSERT_TRUE(svc.await_dm_ends(1, 5s));
   ASSERT_TRUE(svc.await_idle(80ms, 5s));
   svc.drain();  // closes subscriber connections -> EOF below
 
@@ -386,7 +377,9 @@ TEST(AlertService, EndMarkersSurviveWholeServiceRestart) {
   {
     AlertService svc{cfg};
     net::UdpSocket udp{0};
-    deliver_ends(udp, svc, svc.replica_ports());
+    udp.try_send_to(svc.replica_port(0),
+                    wire::frame(wire::encode_end_marker(0)));
+    ASSERT_TRUE(svc.await_dm_ends(1, 5s));
     svc.drain();
   }
   AlertService revived{cfg};
@@ -483,12 +476,14 @@ TEST(AlertService, MetricsTraceDumpAndProvenanceEndToEnd) {
   // Feed with trace contexts attached, the way rcm_service_client does.
   const std::vector<Update> trace = make_trace(20);
   net::UdpSocket udp{0};
+  const std::uint16_t port = svc.replica_port(0);
   for (const Update& u : trace) {
     const obs::trace::TraceContext ctx{
         obs::trace::derive_trace_id(u.var, u.seqno), 0};
-    send_frame(udp, svc.replica_ports(), wire::encode_update(u, ctx));
+    udp.try_send_to(port, wire::frame(wire::encode_update(u, ctx)));
   }
-  deliver_ends(udp, svc, svc.replica_ports());
+  udp.try_send_to(port, wire::frame(wire::encode_end_marker(0)));
+  ASSERT_TRUE(svc.await_dm_ends(1, 5s));
   ASSERT_TRUE(svc.await_idle(80ms, 5s));
 
   // Live admin telemetry, queried before drain.
@@ -579,9 +574,11 @@ TEST(AlertService, RestartedServiceDropsDuplicateStream) {
   {
     AlertService svc{cfg};
     net::UdpSocket udp{0};
-    for (const Update& u : trace)
-      send_frame(udp, svc.replica_ports(), wire::encode_update(u));
-    deliver_ends(udp, svc, svc.replica_ports());
+    const std::vector<std::uint16_t> ports = svc.replica_ports();
+    feed(udp, ports, trace);
+    for (const std::uint16_t port : ports)
+      udp.try_send_to(port, wire::frame(wire::encode_end_marker(0)));
+    ASSERT_TRUE(svc.await_dm_ends(1, 5s));
     ASSERT_TRUE(svc.await_idle(80ms, 5s));
     svc.drain();
     first_displayed = svc.displayed();
@@ -592,14 +589,209 @@ TEST(AlertService, RestartedServiceDropsDuplicateStream) {
     // replayed stream, journaling nothing and displaying nothing new.
     AlertService svc{cfg};
     net::UdpSocket udp{0};
-    for (const Update& u : trace)
-      send_frame(udp, svc.replica_ports(), wire::encode_update(u));
+    feed(udp, svc.replica_ports(), trace);
     ASSERT_TRUE(svc.await_idle(80ms, 5s));
     svc.drain();
     EXPECT_TRUE(svc.displayed().empty());
     EXPECT_EQ(svc.replica_journal(0).size(), trace.size());
   }
   std::filesystem::remove_all(dir);
+}
+
+// ---- whole runs: service::run_trace -------------------------------------
+//
+// The property checkers over complete runs on real threads and loopback
+// sockets, through the same AlertService users run. Two suites drive the
+// one runner with different inputs: RunNetworked.* with random traces
+// against a mid-range threshold, RunThreaded.* with the inputs of the
+// former in-process runtime's tests (a scripted trace, a 3000-degree
+// threshold, five AD-4 seeds).
+
+constexpr VarId kX = 0;
+
+ServiceConfig run_config(ConditionPtr cond, std::size_t replicas,
+                         FilterKind filter) {
+  ServiceConfig cfg;
+  cfg.condition = std::move(cond);
+  cfg.num_replicas = replicas;
+  cfg.filter = filter;
+  cfg.poll_interval = 5ms;
+  return cfg;
+}
+
+trace::Trace uniform(VarId var, std::size_t count, std::uint64_t seed) {
+  util::Rng rng{seed};
+  trace::UniformParams p;
+  p.base.var = var;
+  p.base.count = count;
+  p.lo = 0.0;
+  p.hi = 100.0;
+  return trace::uniform_trace(p, rng);
+}
+
+ConditionPtr hot() {
+  return std::make_shared<const ThresholdCondition>("hot", kX, 55.0);
+}
+
+TEST(RunNetworked, ValidatesConfig) {
+  const std::vector<trace::Trace> one_dm = {uniform(kX, 10, 1)};
+  EXPECT_THROW((void)run_trace(ServiceConfig{}, one_dm, 0.0, 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_trace(run_config(hot(), 0, FilterKind::kAd1),
+                               one_dm, 0.0, 1),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)run_trace(run_config(hot(), 2, FilterKind::kAd1), {}, 0.0, 1),
+      std::invalid_argument);
+  // Two DMs minting seqnos for the same variable.
+  EXPECT_THROW((void)run_trace(run_config(hot(), 2, FilterKind::kAd1),
+                               {one_dm[0], one_dm[0]}, 0.0, 1),
+               std::invalid_argument);
+}
+
+TEST(RunNetworked, LosslessRunMatchesReference) {
+  const ConditionPtr cond = hot();
+  const sim::RunResult r = run_trace(run_config(cond, 2, FilterKind::kAd1),
+                                     {uniform(kX, 60, 2)}, 0.0, 2);
+  EXPECT_EQ(r.front_messages_dropped, 0u);
+  // Loopback UDP: both replicas journaled the whole stream, in order.
+  ASSERT_EQ(r.ce_inputs.size(), 2u);
+  for (const auto& journal : r.ce_inputs) EXPECT_EQ(journal, r.dm_emitted[0]);
+  // Displayed key set == the single-CE reference (AD-1 dedups copies).
+  std::set<AlertKey> displayed, expected;
+  for (const Alert& a : r.displayed) displayed.insert(a.key());
+  for (const Alert& a : evaluate_trace(cond, r.dm_emitted[0]))
+    expected.insert(a.key());
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(displayed, expected);
+  // Theorem 1 end to end, across real sockets.
+  const auto report = check::check_run(r.as_system_run(cond));
+  EXPECT_EQ(report.complete, check::Verdict::kHolds);
+  EXPECT_EQ(report.consistent, check::Verdict::kHolds);
+  EXPECT_EQ(report.ordered, check::Verdict::kHolds);
+}
+
+TEST(RunNetworked, InjectedLossDropsDatagrams) {
+  const sim::RunResult r = run_trace(run_config(hot(), 3, FilterKind::kAd1),
+                                     {uniform(kX, 200, 3)}, 0.3, 3);
+  EXPECT_GT(r.front_messages_dropped, 50u);
+  const auto emitted = project(std::span<const Update>{r.dm_emitted[0]}, kX);
+  for (const auto& journal : r.ce_inputs) {
+    const auto seqs = project(std::span<const Update>{journal}, kX);
+    EXPECT_TRUE(is_subsequence(seqs, emitted));
+    EXPECT_LT(seqs.size(), emitted.size());
+  }
+}
+
+TEST(RunNetworked, Ad4GuaranteesHoldOverRealSockets) {
+  const auto rise = std::make_shared<const RiseCondition>(
+      "rise", kX, 10.0, Triggering::kAggressive);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const sim::RunResult r = run_trace(run_config(rise, 3, FilterKind::kAd4),
+                                       {uniform(kX, 120, seed)}, 0.25, seed);
+    EXPECT_TRUE(check::check_ordered(r.displayed, {kX})) << "seed " << seed;
+    EXPECT_EQ(check::check_run(r.as_system_run(rise)).consistent,
+              check::Verdict::kHolds)
+        << "seed " << seed;
+  }
+}
+
+TEST(RunNetworked, MultiDmMultiVariable) {
+  const auto cm = std::make_shared<const AbsDiffCondition>("cm", 0, 1, 30.0);
+  const sim::RunResult r =
+      run_trace(run_config(cm, 2, FilterKind::kAd5),
+                {uniform(0, 100, 7), uniform(1, 100, 8)}, 0.0, 7);
+  ASSERT_EQ(r.dm_emitted.size(), 2u);
+  EXPECT_FALSE(r.displayed.empty());
+  EXPECT_TRUE(check::check_ordered(r.displayed, {0, 1}));  // Lemma 4
+}
+
+ConditionPtr overheat() {
+  return std::make_shared<const ThresholdCondition>("hot", kX, 3000.0);
+}
+
+TEST(RunThreaded, ValidatesConfig) {
+  const std::vector<trace::Trace> one_dm = {
+      trace::scripted(kX, {{1, 2900.0}, {2, 3100.0}})};
+  EXPECT_THROW((void)run_trace(ServiceConfig{}, one_dm, 0.0, 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_trace(run_config(overheat(), 0, FilterKind::kAd1),
+                               one_dm, 0.0, 1),
+               std::invalid_argument);
+}
+
+TEST(RunThreaded, LosslessReplicatedIsCompleteAndConsistent) {
+  const ConditionPtr cond = overheat();
+  const sim::RunResult r = run_trace(
+      run_config(cond, 2, FilterKind::kAd1),
+      {trace::scripted(kX, {{1, 2900.0},
+                            {2, 3100.0},
+                            {3, 2950.0},
+                            {4, 3200.0},
+                            {5, 3050.0}})},
+      0.0, 1);
+  // Lossless: both replicas journaled all five updates.
+  ASSERT_EQ(r.ce_inputs.size(), 2u);
+  EXPECT_EQ(r.ce_inputs[0].size(), 5u);
+  EXPECT_EQ(r.ce_inputs[1].size(), 5u);
+  const auto report = check::check_run(r.as_system_run(cond));
+  EXPECT_EQ(report.complete, check::Verdict::kHolds);
+  EXPECT_EQ(report.consistent, check::Verdict::kHolds);
+  EXPECT_EQ(report.ordered, check::Verdict::kHolds);  // Theorem 1
+}
+
+TEST(RunThreaded, LossyRunDeliversSubsequences) {
+  util::Rng rng{9};
+  trace::UniformParams p;
+  p.base.var = kX;
+  p.base.count = 200;
+  p.lo = 2000.0;
+  p.hi = 4000.0;
+  const sim::RunResult r =
+      run_trace(run_config(overheat(), 3, FilterKind::kAd1),
+                {trace::uniform_trace(p, rng)}, 0.3, 9);
+  EXPECT_GT(r.front_messages_dropped, 0u);
+  const auto emitted = project(std::span<const Update>{r.dm_emitted[0]}, kX);
+  for (const auto& journal : r.ce_inputs) {
+    const auto seqs = project(std::span<const Update>{journal}, kX);
+    EXPECT_TRUE(is_subsequence(seqs, emitted));
+    EXPECT_LT(seqs.size(), emitted.size());
+  }
+}
+
+TEST(RunThreaded, Ad4OutputIsOrderedAndConsistentUnderRealConcurrency) {
+  // Stress: aggressive historical condition, heavy loss, three replicas,
+  // real thread interleavings. AD-4's guarantees must hold in every run.
+  const auto rise = std::make_shared<const RiseCondition>(
+      "rise", kX, 10.0, Triggering::kAggressive);
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const sim::RunResult r = run_trace(run_config(rise, 3, FilterKind::kAd4),
+                                       {uniform(kX, 150, seed)}, 0.25, seed);
+    EXPECT_TRUE(check::check_ordered(r.displayed, {kX})) << "seed " << seed;
+    EXPECT_EQ(check::check_run(r.as_system_run(rise)).consistent,
+              check::Verdict::kHolds)
+        << "seed " << seed;
+  }
+}
+
+TEST(RunThreaded, MultiVariableThreadedRun) {
+  const auto cm = std::make_shared<const AbsDiffCondition>("cm", 0, 1, 30.0);
+  util::Rng rng{11};
+  trace::UniformParams px, py;
+  px.base.var = 0;
+  px.base.count = 100;
+  px.lo = 0.0;
+  px.hi = 100.0;
+  py.base.var = 1;
+  py.base.count = 100;
+  py.lo = 0.0;
+  py.hi = 100.0;
+  trace::Trace tx = trace::uniform_trace(px, rng);
+  trace::Trace ty = trace::uniform_trace(py, rng);
+  const sim::RunResult r = run_trace(run_config(cm, 2, FilterKind::kAd5),
+                                     {std::move(tx), std::move(ty)}, 0.0, 11);
+  // AD-5 guarantees orderedness under any interleaving (Lemma 4).
+  EXPECT_TRUE(check::check_ordered(r.displayed, {0, 1}));
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "net/deployment.hpp"
 #include "net/socket.hpp"
 #include "service/admin.hpp"
 #include "service/shard_cluster.hpp"
@@ -43,12 +42,8 @@ void send_routed(net::UdpSocket& udp, ShardedCluster& cluster,
   const auto framed = wire::frame(wire::encode_update(u));
   for (const wire::ShardMapEntry& e : map.shards) {
     if (e.shard_id != owner) continue;
-    for (const std::uint16_t port : e.replica_ports) {
-      try {
-        udp.send_to(port, framed);
-      } catch (const std::system_error&) {
-      }
-    }
+    for (const std::uint16_t port : e.replica_ports)
+      udp.try_send_to(port, framed);
   }
 }
 
@@ -59,22 +54,13 @@ void deliver_ends(net::UdpSocket& udp, ShardedCluster& cluster,
   for (int attempt = 0; attempt < 50; ++attempt) {
     const wire::ShardMap map = cluster.shard_map();
     for (std::size_t var = 0; var < arity; ++var) {
-      const auto end =
-          wire::frame(net::encode_end_marker(static_cast<VarId>(var)));
+      const auto end = wire::frame(wire::encode_end_marker(var));
       for (const wire::ShardMapEntry& e : map.shards)
-        for (const std::uint16_t port : e.replica_ports) {
-          try {
-            udp.send_to(port, end);
-          } catch (const std::system_error&) {
-          }
-        }
+        for (const std::uint16_t port : e.replica_ports)
+          udp.try_send_to(port, end);
       if (AlertService* merge = cluster.merge())
-        for (const std::uint16_t port : merge->replica_ports()) {
-          try {
-            udp.send_to(port, end);
-          } catch (const std::system_error&) {
-          }
-        }
+        for (const std::uint16_t port : merge->replica_ports())
+          udp.try_send_to(port, end);
     }
     if (cluster.evaluating_service().await_dm_ends(arity, 100ms)) return;
   }
