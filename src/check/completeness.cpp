@@ -1,7 +1,7 @@
 #include "check/completeness.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
 #include <set>
 
 #include "core/evaluator.hpp"
@@ -24,79 +24,89 @@ Verdict check_single_var(const SystemRun& run,
                                                 : Verdict::kViolated;
 }
 
-/// DFS over interleavings of the per-variable unions; see header.
-class InterleavingSearch {
- public:
-  InterleavingSearch(const SystemRun& run,
-                     std::vector<std::pair<VarId, std::vector<Update>>> unions,
-                     std::size_t budget)
-      : run_(run), unions_(std::move(unions)), budget_(budget) {
-    for (const Alert& a : run.displayed)
-      target_.try_emplace(a.key(), target_.size());  // dedup keys: Phi is a set
-    if (target_.size() > 63) budget_ = 0;  // bitmask limit; report unknown
+/// Multi-variable completeness as a monotone path through the grid of
+/// per-variable union positions; see header.
+Verdict check_multi_var(
+    const SystemRun& run,
+    std::vector<std::pair<VarId, std::vector<Update>>> unions,
+    std::size_t budget, std::vector<Update>* witness) {
+  const Condition& cond = *run.condition;
+  const auto& vars = cond.variables();
+  const std::size_t k = vars.size();
+  std::vector<std::vector<Update>> u(k);  // u[i]: union of vars[i]
+  for (auto& [v, seq] : unions)
+    if (auto it = std::find(vars.begin(), vars.end(), v); it != vars.end())
+      u[static_cast<std::size_t>(it - vars.begin())] = std::move(seq);
+  // Cell index = sum of pos[i] * stride[i]; predecessors have lower ones.
+  std::vector<std::size_t> stride(k), deg(k), pos(k);
+  std::size_t cells = 1;
+  for (std::size_t i = k; i-- > 0;) {
+    if (cells > budget / (u[i].size() + 1)) return Verdict::kUnknown;
+    stride[i] = cells;
+    cells *= u[i].size() + 1;
+    deg[i] = static_cast<std::size_t>(cond.degree(vars[i]));
+    // Distinct cells raise distinct keys only for strictly ascending unions.
+    for (std::size_t j = 1; j < u[i].size(); ++j)
+      if (u[i][j].seqno <= u[i][j - 1].seqno) return Verdict::kUnknown;
+  }
+  auto coord = [&](std::size_t c, std::size_t i) {
+    return c / stride[i] % (u[i].size() + 1);
+  };
+
+  // A displayed key's one cell is where its windows end in the unions.
+  std::vector<std::uint8_t> target(cells, 0);
+  for (const Alert& a : run.displayed) {
+    if (a.cond != cond.name() || a.histories.size() != k)
+      return Verdict::kViolated;
+    std::size_t c = 0, i = 0;
+    for (const auto& [v, w] : a.histories) {  // ascending by var, as V is
+      const auto at = std::search(
+          u[i].begin(), u[i].end(), w.begin(), w.end(),
+          [](const Update& x, const Update& y) { return x.seqno == y.seqno; });
+      if (v != vars[i] || w.size() != deg[i] || at == u[i].end())
+        return Verdict::kViolated;
+      c += (static_cast<std::size_t>(at - u[i].begin()) + deg[i]) * stride[i];
+      ++i;
+    }
+    target[c] = 1;
   }
 
-  Verdict search(std::vector<Update>* witness) {
-    if (budget_ == 0) return Verdict::kUnknown;
-    HistorySet h = run_.condition->make_history_set();
-    const bool found =
-        dfs(std::vector<std::size_t>(unions_.size(), 0), h, 0);
-    if (exhausted_) return Verdict::kUnknown;
-    if (found && witness) *witness = path_;
-    return found ? Verdict::kHolds : Verdict::kViolated;
+  // cnt[c] = targets t <= c. A path that passes a target without visiting
+  // it can never come back, so c extends a reached predecessor p iff
+  // exactly the targets <= c other than c itself are <= p.
+  std::vector<std::uint32_t> cnt(target.begin(), target.end());
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t c = 0; c < cells; ++c)
+      if (coord(c, i) > 0) cnt[c] += cnt[c - stride[i]];
+
+  std::vector<std::size_t> from(cells, k);  // last step's var, k: unreached
+  from[0] = 0;
+  HistorySet h = cond.make_history_set();
+  for (std::size_t c = 0; c < cells; ++c) {
+    bool fires = true;  // evaluated once every history is defined
+    for (std::size_t i = 0; i < k; ++i) {
+      pos[i] = coord(c, i);
+      fires = fires && pos[i] >= deg[i];
+    }
+    for (std::size_t i = 0; i < k && fires; ++i)
+      for (std::size_t j = pos[i] - deg[i]; j < pos[i]; ++j) h.push(u[i][j]);
+    fires = fires && cond.evaluate(h);
+    if (!fires && target[c]) return Verdict::kViolated;  // never raised
+    if (fires && !target[c]) continue;  // raises an undisplayed key
+    const std::uint32_t need = cnt[c] - target[c];
+    for (std::size_t i = 0; i < k && from[c] == k; ++i)
+      if (pos[i] > 0 && from[c - stride[i]] < k && cnt[c - stride[i]] == need)
+        from[c] = i;
   }
-
- private:
-  using Positions = std::vector<std::size_t>;
-
-  bool dfs(const Positions& pos, const HistorySet& h, std::uint64_t covered) {
-    if (exhausted_) return false;
-    if (++states_ > budget_) {
-      exhausted_ = true;
-      return false;
-    }
-    bool done = true;
-    for (std::size_t i = 0; i < unions_.size(); ++i)
-      if (pos[i] < unions_[i].second.size()) done = false;
-    if (done) {
-      // Full interleaving consumed; witness iff every displayed alert
-      // was generated (extras were pruned on the way).
-      return covered == (target_.empty() ? 0 : (1ULL << target_.size()) - 1);
-    }
-    const auto memo_key = std::make_pair(pos, covered);
-    if (!failed_.insert(memo_key).second) return false;  // known dead end
-
-    for (std::size_t i = 0; i < unions_.size(); ++i) {
-      if (pos[i] >= unions_[i].second.size()) continue;
-      const Update& u = unions_[i].second[pos[i]];
-      HistorySet next_h = h;
-      next_h.push(u);
-      std::uint64_t next_covered = covered;
-      if (next_h.all_defined() && run_.condition->evaluate(next_h)) {
-        const Alert a = make_alert(std::string{run_.condition->name()}, next_h);
-        auto it = target_.find(a.key());
-        if (it == target_.end()) continue;  // extra alert: prune this branch
-        next_covered |= 1ULL << it->second;
-      }
-      Positions next_pos = pos;
-      ++next_pos[i];
-      path_.push_back(u);
-      if (dfs(next_pos, next_h, next_covered)) return true;
-      path_.pop_back();
-      if (exhausted_) return false;
-    }
-    return false;
+  if (from[cells - 1] == k) return Verdict::kViolated;
+  if (witness) {
+    witness->clear();
+    for (std::size_t c = cells - 1; c > 0; c -= stride[from[c]])
+      witness->push_back(u[from[c]][coord(c, from[c]) - 1]);
+    std::reverse(witness->begin(), witness->end());
   }
-
-  const SystemRun& run_;
-  std::vector<std::pair<VarId, std::vector<Update>>> unions_;
-  std::size_t budget_;
-  std::size_t states_ = 0;
-  bool exhausted_ = false;
-  std::map<AlertKey, std::size_t> target_;
-  std::set<std::pair<Positions, std::uint64_t>> failed_;
-  std::vector<Update> path_;  ///< current DFS prefix; full on success
-};
+  return Verdict::kHolds;
+}
 
 }  // namespace
 
@@ -118,17 +128,7 @@ Verdict check_complete(const SystemRun& run, std::size_t interleaving_budget,
     return v;
   }
 
-  // Ensure every condition variable has a (possibly empty) stream so the
-  // DFS's position vector lines up with V.
-  std::vector<std::pair<VarId, std::vector<Update>>> full;
-  for (VarId v : vars) {
-    auto it = std::find_if(unions.begin(), unions.end(),
-                           [&](const auto& p) { return p.first == v; });
-    full.emplace_back(v, it == unions.end() ? std::vector<Update>{}
-                                            : std::move(it->second));
-  }
-  InterleavingSearch search{run, std::move(full), interleaving_budget};
-  return search.search(witness);
+  return check_multi_var(run, std::move(unions), interleaving_budget, witness);
 }
 
 }  // namespace rcm::check

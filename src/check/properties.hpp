@@ -13,10 +13,10 @@
 //   Consistency:  exists U' ⊑ U1 ⊔ U2 (resp. ⊑ some UV) with
 //                 Phi(A) ⊆ Phi(T(U')).
 //
-// Orderedness and single-variable completeness are direct. Consistency is
-// decided *exactly* in polynomial time (consistency.hpp); multi-variable
-// completeness requires a search over interleavings and may return
-// "unknown" when the bounded search is exhausted (completeness.hpp).
+// Orderedness and single-variable completeness are direct. Consistency and
+// multi-variable completeness are decided *exactly* in polynomial time
+// (consistency.hpp, completeness.hpp); completeness returns "unknown"
+// when its grid of interleaving positions exceeds the budget.
 // Brute-force oracles cross-validate both in the test suite (oracle.hpp).
 #pragma once
 
@@ -38,7 +38,8 @@ struct SystemRun {
   std::vector<Alert> displayed;                ///< A
 };
 
-/// Tri-state verdict; kUnknown only occurs for bounded searches.
+/// Tri-state verdict; kUnknown only occurs when the multi-variable
+/// completeness check is bounded out (see completeness.hpp).
 enum class Verdict { kHolds, kViolated, kUnknown };
 
 /// All three properties of one run.
@@ -65,7 +66,8 @@ combined_inputs(const std::vector<std::vector<Update>>& ce_inputs);
     std::span<const Alert> a, VarId v, const std::set<SeqNo>& seqnos);
 
 /// Evaluates all three properties of a run. `interleaving_budget` bounds
-/// the multi-variable completeness search (see completeness.hpp).
+/// the cells of the multi-variable completeness grid (see
+/// completeness.hpp).
 [[nodiscard]] PropertyReport check_run(const SystemRun& run,
                                        std::size_t interleaving_budget = 200000);
 

@@ -42,7 +42,7 @@ std::string verdict_text(Verdict v) {
   switch (v) {
     case Verdict::kHolds: return "holds";
     case Verdict::kViolated: return "VIOLATED";
-    case Verdict::kUnknown: return "undecided (search budget exhausted)";
+    case Verdict::kUnknown: return "undecided (grid exceeds budget)";
   }
   return "?";
 }

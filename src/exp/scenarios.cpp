@@ -32,7 +32,7 @@ ConditionPtr multi_nonhistorical() {
 // only by specific update pairs, so that a displayed pair forces an
 // undisplayed intermediate pair into every witness interleaving. A
 // narrow band condition has exactly that structure; a plain threshold
-// condition rarely does, and with lossless links the completeness search
+// condition rarely does, and with lossless links the completeness check
 // almost always finds a witness for it.
 ConditionPtr multi_band() {
   return std::make_shared<const PredicateCondition>(

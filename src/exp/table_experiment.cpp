@@ -133,7 +133,7 @@ PropertyCounts sweep_scenario(const ScenarioSpec& spec, FilterKind filter,
 
     const sim::RunResult result = sim::run_system(config);
     const check::SystemRun sys_run = result.as_system_run(spec.condition);
-    return check::check_run(sys_run, params.interleaving_budget);
+    return check::check_run(sys_run);
   };
 
   std::vector<check::PropertyReport> reports(params.runs);

@@ -25,9 +25,6 @@ struct SweepParams {
   std::size_t updates_per_var = 40;
   std::size_t num_ces = 2;
   std::uint64_t seed = 42;
-  /// State budget for the multi-variable completeness search; runs whose
-  /// search exhausts it count as "unknown", never as violations.
-  std::size_t interleaving_budget = 400000;
   /// Worker threads: 1 = serial, 0 = hardware concurrency. Trial RNG
   /// streams are derived up front in run order (each fork of the master
   /// advances it, so derivation order is part of the published numbers),

@@ -205,11 +205,12 @@ int main(int argc, char** argv) {
           return true;
         });
 
-    std::printf("swarm: %zu runs (%zu with alerts), %zu violation(s)%s\n",
-                report.runs_executed, report.runs_with_alerts,
-                report.failures,
-                report.time_budget_exhausted ? ", time budget exhausted"
-                                             : "");
+    std::printf(
+        "swarm: %zu runs (%zu with alerts), %zu violation(s), %zu "
+        "undecided%s\n",
+        report.runs_executed, report.runs_with_alerts, report.failures,
+        report.undecided,
+        report.time_budget_exhausted ? ", time budget exhausted" : "");
     for (const auto& [cell, n] : report.cell_runs)
       std::printf("  %-30s %zu runs\n", cell.c_str(), n);
 

@@ -25,6 +25,12 @@ std::string_view violation_kind_name(ViolationKind k) noexcept {
   return "?";
 }
 
+bool RunCheck::undecided() const noexcept {
+  return report.ordered == check::Verdict::kUnknown ||
+         report.complete == check::Verdict::kUnknown ||
+         report.consistent == check::Verdict::kUnknown;
+}
+
 bool RunCheck::has_kind(ViolationKind k) const {
   return std::find(violation_kinds.begin(), violation_kinds.end(), k) !=
          violation_kinds.end();

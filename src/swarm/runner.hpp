@@ -10,8 +10,9 @@
 //     non-decreasing, and the run is a pure function of the spec
 //     (re-execution produces a bit-for-bit identical run).
 //
-// A completeness verdict of kUnknown (bounded interleaving search
-// exhausted) is never a violation.
+// A completeness verdict of kUnknown (a grid of interleaving positions
+// larger than the budget) is never a violation; SwarmReport counts such
+// runs as undecided.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +47,8 @@ struct CheckOptions {
   /// simulation cost; the cheapest invariant to drop under a time budget.
   bool check_determinism = true;
 
-  /// Budget for the multi-variable completeness search.
+  /// Largest multi-variable completeness grid, in cells, decided; runs
+  /// with a larger grid are undecided (see check/completeness.hpp).
   std::size_t interleaving_budget = 200000;
 };
 
@@ -61,6 +63,8 @@ struct RunCheck {
   bool had_alerts = false;
 
   [[nodiscard]] bool failed() const noexcept { return !violations.empty(); }
+  /// Some property verdict is kUnknown; an undecided run is not a failure.
+  [[nodiscard]] bool undecided() const noexcept;
   [[nodiscard]] bool has_kind(ViolationKind k) const;
 };
 

@@ -41,6 +41,10 @@ bool aggregate_run(const SwarmOptions& options, std::uint64_t index,
   RCM_COUNT("swarm.runs");
   ++report.runs_executed;
   if (chk.had_alerts) ++report.runs_with_alerts;
+  if (chk.undecided()) {
+    RCM_COUNT("swarm.undecided");
+    ++report.undecided;
+  }
   {
     const std::string cell = std::string(filter_kind_name(spec.base.filter)) +
                              " / " +

@@ -65,6 +65,9 @@ struct SwarmReport {
   std::size_t runs_executed = 0;
   std::size_t runs_with_alerts = 0;  ///< non-vacuous runs
   std::size_t failures = 0;
+  /// Runs with any property verdict kUnknown (a completeness grid larger
+  /// than CheckOptions::interleaving_budget). Never counted as failures.
+  std::size_t undecided = 0;
   bool time_budget_exhausted = false;
 
   /// Coverage: runs per (filter, scenario) cell, keyed by display name.

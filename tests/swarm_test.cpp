@@ -38,6 +38,38 @@ TEST(Swarm, FixedSeedBatchIsCleanOnGuaranteedCells) {
   EXPECT_GE(report.cell_runs.size(), 20u);
 }
 
+TEST(Swarm, FixedBatchCompletenessIsDecidedAndPinned) {
+  // Completeness verdict per run of the batch (seed 1, 100 runs) as the
+  // bounded interleaving search that preceded the grid check reported it:
+  // H holds, V violated, U undecided (its budget or 63-key cap). The grid
+  // check must decide every run and agree wherever the search decided.
+  const std::string search =
+      "VVHVHUHUUHVHHHVVHHHVHUHHHVVHHHHUHHHHHHHVHHHHHHUHUHVHHHHHHHHHHUHHVHHHH"
+      "HHHHHHHHHUHHVHHHHHVHHVHVVHUVHHH";
+  ASSERT_EQ(search.size(), 100u);
+  SwarmOptions options;
+  options.seed = 1;
+  options.runs = 100;
+  std::string grid;
+  const SwarmReport report =
+      run_swarm(options, [&](std::uint64_t, const RunCheck& chk) {
+        const check::Verdict v = chk.report.complete;
+        grid += v == check::Verdict::kHolds      ? 'H'
+                : v == check::Verdict::kViolated ? 'V'
+                                                 : 'U';
+        return true;
+      });
+  ASSERT_EQ(grid.size(), 100u);
+  EXPECT_EQ(report.undecided, 0u);
+  EXPECT_EQ(report.failures, 0u);
+  for (std::size_t i = 0; i < search.size(); ++i) {
+    EXPECT_NE(grid[i], 'U') << "run " << i;
+    if (search[i] != 'U') {
+      EXPECT_EQ(grid[i], search[i]) << "run " << i;
+    }
+  }
+}
+
 TEST(Swarm, SampleSpecIsPureFunctionOfSeedAndIndex) {
   for (std::uint64_t i : {0u, 3u, 17u}) {
     EXPECT_TRUE(sample_spec(5, i) == sample_spec(5, i));
