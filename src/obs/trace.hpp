@@ -13,7 +13,7 @@
 // Design rules, inherited from rcm::obs::metrics and enforced here:
 //   1. The hot path is ONE ring write per span (plus two steady_clock
 //      reads for the timestamps). No allocation, no locks, no syscalls.
-//      bench/trace_overhead pins the cost against the swarm workload.
+//      perfbench's obs.trace_overhead_frac measures the cost.
 //   2. Tracing observes, it never participates: span recording feeds
 //      nothing back into evaluation, filtering, or scheduling, and trace
 //      ids are pure functions of (var, seqno) — swarm digests stay

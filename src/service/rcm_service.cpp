@@ -91,7 +91,8 @@ int main(int argc, char** argv) {
 
   try {
     // Live service default: traceable. The rings are fixed-size and the
-    // hot-path cost is one ring write per span (bench/trace_overhead).
+    // hot-path cost is one ring write per span (perfbench's
+    // obs.trace_overhead_frac).
     obs::trace::set_enabled(!args.get_bool("no-tracing"));
 
     // Windowed rates in health documents come from the process sampler;

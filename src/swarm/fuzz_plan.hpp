@@ -1,12 +1,12 @@
-// Shared machinery for the service-level fuzz modes (service_fuzz.hpp's
-// crash-recovery fuzz and upgrade_fuzz.hpp's mixed-version fuzz): the
-// randomized run plan, the UDP feed helper, and the two-layer oracle
-// (mechanical journal/provenance invariants + the paper's property
-// table for the observed (filter, scenario) cell).
+// The run plan and the oracle of the service fuzz driver
+// (service_fuzz.hpp), shared by its two modes, crash and upgrade: the
+// randomized run plan and the two-layer oracle (mechanical
+// journal/provenance invariants + the paper's property table for the
+// observed (filter, scenario) cell).
 //
-// Factored out so both modes check EXACTLY the same invariants — the
-// upgrade fuzzer's claim is precisely "the crash-fuzz oracle still
-// holds when the durable state crossed a format-version boundary".
+// Both modes check EXACTLY the same invariants — the upgrade mode's
+// claim is precisely "the crash-mode oracle still holds when the durable
+// state crossed a format-version boundary".
 #pragma once
 
 #include <cstdint>

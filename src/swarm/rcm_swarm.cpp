@@ -17,7 +17,6 @@
 #include <string>
 
 #include "swarm/service_fuzz.hpp"
-#include "swarm/upgrade_fuzz.hpp"
 #include "swarm/swarm.hpp"
 #include "util/args.hpp"
 
@@ -109,8 +108,10 @@ int main(int argc, char** argv) {
   try {
     if (!args.get("replay").empty()) return replay_file(args.get("replay"));
 
-    if (args.get_bool("service-fuzz")) {
+    const bool crash = args.get_bool("service-fuzz");
+    if (crash || args.get_bool("upgrade-fuzz")) {
       swarm::ServiceFuzzOptions options;
+      if (!crash) options.mode = swarm::ServiceFuzzMode::kUpgrade;
       options.seed = static_cast<std::uint64_t>(args.get_int("seed"));
       options.runs = static_cast<std::size_t>(args.get_int("runs"));
       options.scratch_dir = args.get("scratch-dir");
@@ -118,52 +119,36 @@ int main(int argc, char** argv) {
       options.verbose = args.get_bool("verbose");
       const swarm::ServiceFuzzReport report =
           swarm::run_service_fuzz(options);
-      std::printf("service-fuzz: %zu runs (%zu with kills, %zu with "
-                  "alerts), %zu kill(s), %zu restart(s), %zu violation(s)\n",
+      std::printf("%s: %zu runs (%zu with kills, %zu with alerts), %zu "
+                  "kill(s), %zu restart(s), ",
+                  crash ? "service-fuzz" : "upgrade-fuzz",
                   report.runs_executed, report.runs_with_kills,
                   report.runs_with_alerts, report.total_kills,
-                  report.total_restarts, report.violations.size());
-      std::printf("  sessions: %zu run(s) with subscribers, %zu welcomed "
-                  "conn(s), %zu subscriber kill(s), %zu truncation(s), "
-                  "%zu eviction(s), %zu bad cursor(s), %zu lag alert(s), "
-                  "%zu reopen leg(s)\n",
-                  report.runs_with_subscribers, report.subscriber_conns,
-                  report.subscriber_kills, report.session_truncations,
-                  report.session_evictions, report.session_bad_cursors,
-                  report.session_lag_alerts, report.service_reopens);
-      std::printf("  sharding: %zu sharded run(s) (%zu cross-shard), "
-                  "%zu reshard(s), %zu shard kill(s)\n",
-                  report.sharded_runs, report.cross_shard_runs,
-                  report.shard_reshards, report.shard_kills);
-      std::printf("  health: %zu scrape(s), %zu kill(s) confirmed "
-                  "degraded\n",
-                  report.health_scrapes, report.health_degraded_seen);
+                  report.total_restarts);
+      if (!crash)
+        std::printf("%zu file(s) transcoded to v1, %zu torn tail(s), %zu "
+                    "stale WAL record(s), %zu duplicate resend(s), ",
+                    report.transcoded_files, report.torn_tails_injected,
+                    report.stale_wal_records, report.duplicate_resends);
+      std::printf("%zu violation(s)\n", report.violations.size());
+      if (crash) {
+        std::printf("  sessions: %zu run(s) with subscribers, %zu welcomed "
+                    "conn(s), %zu subscriber kill(s), %zu truncation(s), "
+                    "%zu eviction(s), %zu bad cursor(s), %zu lag alert(s), "
+                    "%zu reopen leg(s)\n",
+                    report.runs_with_subscribers, report.subscriber_conns,
+                    report.subscriber_kills, report.session_truncations,
+                    report.session_evictions, report.session_bad_cursors,
+                    report.session_lag_alerts, report.service_reopens);
+        std::printf("  sharding: %zu sharded run(s) (%zu cross-shard), "
+                    "%zu reshard(s), %zu shard kill(s)\n",
+                    report.sharded_runs, report.cross_shard_runs,
+                    report.shard_reshards, report.shard_kills);
+        std::printf("  health: %zu scrape(s), %zu kill(s) confirmed "
+                    "degraded\n",
+                    report.health_scrapes, report.health_degraded_seen);
+      }
       for (const swarm::ServiceFuzzViolation& v : report.violations)
-        std::printf("  run %zu (seed %llu): %s\n    state kept: %s\n",
-                    v.run_index,
-                    static_cast<unsigned long long>(v.seed),
-                    v.description.c_str(), v.data_dir.string().c_str());
-      return report.failed() ? 1 : 0;
-    }
-
-    if (args.get_bool("upgrade-fuzz")) {
-      swarm::UpgradeFuzzOptions options;
-      options.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-      options.runs = static_cast<std::size_t>(args.get_int("runs"));
-      options.scratch_dir = args.get("scratch-dir");
-      options.verbose = args.get_bool("verbose");
-      const swarm::UpgradeFuzzReport report =
-          swarm::run_upgrade_fuzz(options);
-      std::printf("upgrade-fuzz: %zu runs (%zu with kills, %zu with "
-                  "alerts), %zu kill(s), %zu restart(s), %zu file(s) "
-                  "transcoded to v1, %zu torn tail(s), %zu stale WAL "
-                  "record(s), %zu duplicate resend(s), %zu violation(s)\n",
-                  report.runs_executed, report.runs_with_kills,
-                  report.runs_with_alerts, report.total_kills,
-                  report.total_restarts, report.transcoded_files,
-                  report.torn_tails_injected, report.stale_wal_records,
-                  report.duplicate_resends, report.violations.size());
-      for (const swarm::UpgradeFuzzViolation& v : report.violations)
         std::printf("  run %zu (seed %llu): %s\n    state kept: %s\n",
                     v.run_index,
                     static_cast<unsigned long long>(v.seed),

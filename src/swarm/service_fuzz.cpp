@@ -3,25 +3,33 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <system_error>
 #include <thread>
 #include <utility>
 
-#include <map>
-
+#include "core/evaluator.hpp"
 #include "net/socket.hpp"
 #include "service/alert_service.hpp"
+#include "service/durable_replica.hpp"
 #include "service/health.hpp"
 #include "service/shard_cluster.hpp"
 #include "service/shard_ring.hpp"
+#include "store/file_log.hpp"
 #include "swarm/fuzz_plan.hpp"
 #include "util/rng.hpp"
+#include "wire/buffer.hpp"
 #include "wire/codec.hpp"
 #include "wire/frame.hpp"
+#include "wire/legacy.hpp"
 #include "wire/session.hpp"
 #include "wire/shard.hpp"
+#include "wire/snapshot.hpp"
+#include "wire/version.hpp"
 
 namespace rcm::swarm {
 namespace {
@@ -330,13 +338,58 @@ void check_sessions(const std::vector<SubscriberLog>& logs,
   }
 }
 
-// ---- sharded-cluster fuzz leg -----------------------------------------
+// ---- shared run machinery ---------------------------------------------
 
-struct ShardedRunStats {
+/// Supervisor timing for every fuzzed instance, single or sharded: killed
+/// replicas come back within milliseconds and the monitor polls often, so
+/// short runs see whole kill/recover cycles.
+template <class Config>
+void set_fuzz_timing(Config& config) {
+  config.backoff.initial = std::chrono::milliseconds{1};
+  config.backoff.max = std::chrono::milliseconds{50};
+  config.backoff.reset_after = std::chrono::milliseconds{1};
+  config.poll_interval = std::chrono::milliseconds{5};
+}
+
+service::ServiceConfig make_config(const RunPlan& plan,
+                                   const std::filesystem::path& data_dir) {
+  service::ServiceConfig config;
+  config.condition = build_condition(plan.choice.kind, plan.choice.param);
+  config.num_replicas = plan.replicas;
+  config.filter = plan.filter;
+  config.data_dir = data_dir;
+  config.checkpoint_every = plan.checkpoint_every;
+  config.record_journal = true;
+  config.auto_restart = plan.auto_restart;
+  set_fuzz_timing(config);
+  return config;
+}
+
+/// Repeats the END markers of vars [0, arity) to every port (they are
+/// idempotent) until `evaluator` has them all.
+void deliver_ends(net::UdpSocket& feeder,
+                  const std::vector<std::uint16_t>& ports, std::size_t arity,
+                  service::AlertService& evaluator) {
+  for (int attempt = 0; attempt < 40; ++attempt) {
+    for (std::size_t var = 0; var < arity; ++var) {
+      const auto end = wire::frame(wire::encode_end_marker(var));
+      for (const std::uint16_t port : ports) feeder.try_send_to(port, end);
+    }
+    if (evaluator.await_dm_ends(arity, std::chrono::milliseconds{100}))
+      return;
+  }
+}
+
+/// What one run hands the shared tail of the batch loop.
+struct RunOutcome {
   std::size_t kills = 0;
-  std::size_t reshards = 0;
-  bool cross_shard = false;
+  std::size_t restarts = 0;
+  std::size_t displayed = 0;
+  std::string detail;  ///< verbose-line text after "run N"
+  std::vector<std::string> violations;
 };
+
+// ---- sharded-cluster fuzz leg ------------------------------------------
 
 /// Feeder-side router rebuilt from the WIRE shard map exactly the way an
 /// external feeder would (encode → decode → ring from ids/vnodes), so the
@@ -363,12 +416,9 @@ struct MapRouter {
 /// of every journal the cluster ever wrote (partial shards journal only
 /// their owned variables, so multi-shard runs classify as the condition's
 /// lossy row — exactly the paper cell a sharded front presents).
-std::vector<std::string> run_sharded_iteration(
-    const RunPlan& plan, util::Rng& rng,
-    const std::filesystem::path& data_dir, ShardedRunStats& stats,
-    std::size_t& displayed_count) {
-  const std::size_t arity = condition_arity(plan.choice.kind);
-
+RunOutcome run_sharded_iteration(const RunPlan& plan, util::Rng& rng,
+                                 const std::filesystem::path& data_dir,
+                                 ServiceFuzzReport& report) {
   service::ShardClusterConfig config;
   config.condition = build_condition(plan.choice.kind, plan.choice.param);
   config.filter = plan.filter;
@@ -381,13 +431,10 @@ std::vector<std::string> run_sharded_iteration(
   // Reshard interplay with manual-restart schedules is not modelled:
   // sharded runs always self-heal killed replicas.
   config.auto_restart = true;
-  config.backoff.initial = std::chrono::milliseconds{1};
-  config.backoff.max = std::chrono::milliseconds{50};
-  config.backoff.reset_after = std::chrono::milliseconds{1};
-  config.poll_interval = std::chrono::milliseconds{5};
+  set_fuzz_timing(config);
 
   service::ShardedCluster cluster{std::move(config)};
-  stats.cross_shard = cluster.cross_shard();
+  const bool cross_shard = cluster.cross_shard();
 
   // 0-2 reshard events in the middle half of the feed, where updates are
   // in flight on both sides of the handoff.
@@ -410,9 +457,11 @@ std::vector<std::string> run_sharded_iteration(
   };
   refresh_router();
 
+  RunOutcome out;
   net::UdpSocket feeder;
   std::size_t next_kill = 0;
   std::size_t next_reshard = 0;
+  std::size_t reshards = 0;
   for (std::size_t step = 0; step < plan.feed.size(); ++step) {
     while (next_reshard < reshard_steps.size() &&
            reshard_steps[next_reshard] <= step) {
@@ -424,7 +473,7 @@ std::vector<std::string> run_sharded_iteration(
         cluster.remove_shard(ids[static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(ids.size()) - 1))]);
       }
-      ++stats.reshards;
+      ++reshards;
       refresh_router();
     }
     while (next_kill < plan.kills.size() &&
@@ -439,7 +488,7 @@ std::vector<std::string> run_sharded_iteration(
             rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1))]);
       }
       target->kill_replica(e.replica % target->config().num_replicas);
-      ++stats.kills;
+      ++out.kills;
     }
     const Update& u = plan.feed[step];
     const auto framed = wire::frame(wire::encode_update(u));
@@ -455,306 +504,528 @@ std::vector<std::string> run_sharded_iteration(
 
   // ENDs go everywhere: each shard closes its DM streams, and the merge
   // tier hears the ENDs directly (on_accept only forwards updates).
-  for (int attempt = 0; attempt < 40; ++attempt) {
-    for (std::size_t var = 0; var < arity; ++var) {
-      const auto end = wire::frame(wire::encode_end_marker(var));
-      for (const auto& [id, ports] : router.ports)
-        for (const std::uint16_t port : ports)
-          feeder.try_send_to(port, end);
-      if (service::AlertService* merge = cluster.merge())
-        for (const std::uint16_t port : merge->replica_ports())
-          feeder.try_send_to(port, end);
-    }
-    if (cluster.evaluating_service().await_dm_ends(
-            arity, std::chrono::milliseconds{100}))
-      break;
-  }
+  std::vector<std::uint16_t> end_ports;
+  for (const auto& [id, ports] : router.ports)
+    end_ports.insert(end_ports.end(), ports.begin(), ports.end());
+  if (service::AlertService* merge = cluster.merge())
+    for (const std::uint16_t port : merge->replica_ports())
+      end_ports.push_back(port);
+  deliver_ends(feeder, end_ports, condition_arity(plan.choice.kind),
+               cluster.evaluating_service());
   (void)cluster.await_idle(std::chrono::milliseconds{60},
                            std::chrono::milliseconds{5000});
   cluster.drain();
 
   const std::vector<Alert> displayed = cluster.displayed();
-  displayed_count = displayed.size();
-  return check_service_run(plan, plan.feed, cluster.journals(), displayed,
-                           cluster.provenance(), stats.kills,
-                           cluster.displayer_epochs());
+  out.displayed = displayed.size();
+  out.violations =
+      check_service_run(plan, plan.feed, cluster.journals(), displayed,
+                        cluster.provenance(), out.kills,
+                        cluster.displayer_epochs());
+  ++report.sharded_runs;
+  if (cross_shard) ++report.cross_shard_runs;
+  report.shard_reshards += reshards;
+  report.shard_kills += out.kills;
+  out.detail = std::string(" (sharded") + (cross_shard ? ", cross-shard" : "") +
+               "): " + std::to_string(plan.feed.size()) + " updates, " +
+               std::to_string(out.kills) + " kill(s), " +
+               std::to_string(reshards) + " reshard(s)";
+  return out;
+}
+
+// ---- one service epoch -------------------------------------------------
+
+/// One service incarnation's share of a run.
+struct Epoch {
+  std::size_t begin = 0;  ///< plan.feed[begin, end) is fed in this epoch
+  std::size_t end = 0;
+  std::vector<KillEvent> kills{};  ///< sorted; at_step counts from `begin`
+  /// Per step, with this probability one extra copy of an update goes to
+  /// a random port: the step's own update when `dup_pool` is 0, else a
+  /// random one of plan.feed[0, dup_pool).
+  double dup_prob = 0.0;
+  std::size_t dup_pool = 0;
+};
+
+struct EpochResult {
+  std::vector<Alert> displayed;
+  std::vector<AlertProvenance> provenance;
+  std::vector<std::vector<Update>> journals;
+  std::size_t kills = 0;
+  std::size_t restarts = 0;
+};
+
+/// Runs one AlertService over `epoch`: subscriber agents, kills with
+/// manual restarts (and the health oracle around them), sends to every
+/// replica port, duplicate resends, END markers once the feed is
+/// exhausted, drain. Health-oracle violations are appended to
+/// `violations`.
+EpochResult run_epoch(const RunPlan& plan, const Epoch& epoch,
+                      service::ServiceConfig config, util::Rng& rng,
+                      std::vector<SubscriberLog>& subscribers,
+                      std::uint64_t subscriber_seed, ServiceFuzzReport& report,
+                      std::vector<std::string>& violations) {
+  EpochResult out;
+  service::AlertService svc{std::move(config)};
+  const std::vector<std::uint16_t> ports = svc.replica_ports();
+  net::UdpSocket feeder;
+
+  std::atomic<bool> draining{false};
+  std::vector<std::thread> sub_threads;
+  for (std::size_t s = 0; s < subscribers.size(); ++s)
+    sub_threads.emplace_back(run_subscriber_agent, svc.subscriber_port(),
+                             subscriber_seed + s, std::cref(draining),
+                             std::ref(subscribers[s]));
+
+  // (step -> pending manual restarts) computed as we go.
+  std::vector<std::pair<std::size_t, std::size_t>> manual_restarts;
+  std::size_t next_kill = 0;
+  for (std::size_t step = 0; step < epoch.end - epoch.begin; ++step) {
+    while (next_kill < epoch.kills.size() &&
+           epoch.kills[next_kill].at_step == step) {
+      const KillEvent& e = epoch.kills[next_kill++];
+      svc.kill_replica(e.replica);
+      ++out.kills;
+      if (!plan.auto_restart) {
+        // Health oracle, degraded half: with no auto-restart racing
+        // us, the admin health document scraped right after the kill
+        // must carry a replica-down degradation.
+        ++report.health_scrapes;
+        const auto doc = service::scrape_instance_health(
+            svc.admin_port(), std::chrono::milliseconds{2000});
+        if (!doc) {
+          violations.push_back(
+              "health oracle: admin health scrape failed after kill");
+        } else {
+          const bool down = std::any_of(
+              doc->degradations.begin(), doc->degradations.end(),
+              [](const wire::Degradation& d) {
+                return d.kind == wire::DegradationKind::kReplicaDown;
+              });
+          if (!down || doc->healthy)
+            violations.push_back(
+                "health oracle: no replica_down degradation right "
+                "after killing replica " + std::to_string(e.replica));
+          else
+            ++report.health_degraded_seen;
+        }
+        manual_restarts.emplace_back(step + e.restart_after, e.replica);
+      }
+    }
+    for (auto it = manual_restarts.begin(); it != manual_restarts.end();) {
+      if (it->first <= step) {
+        svc.restart_replica(it->second);
+        it = manual_restarts.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    const Update& u = plan.feed[epoch.begin + step];
+    const auto framed = wire::frame(wire::encode_update(u));
+    for (const std::uint16_t port : ports) feeder.try_send_to(port, framed);
+    if (epoch.dup_prob > 0 && rng.bernoulli(epoch.dup_prob)) {
+      // The upgrade mode's pool is the phase-A prefix: updates the
+      // replicas accepted under the OLD format, which the recovered v1
+      // watermarks must drop.
+      const Update& dup =
+          epoch.dup_pool == 0
+              ? u
+              : plan.feed[static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>(epoch.dup_pool) - 1))];
+      feeder.try_send_to(
+          ports[static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(ports.size()) - 1))],
+          wire::frame(wire::encode_update(dup)));
+      ++report.duplicate_resends;
+    }
+  }
+
+  // Bring everyone back so the END markers land somewhere durable.
+  for (std::size_t r = 0; r < plan.replicas; ++r) svc.restart_replica(r);
+  if (epoch.end == plan.feed.size())
+    deliver_ends(feeder, ports, condition_arity(plan.choice.kind), svc);
+  (void)svc.await_idle(std::chrono::milliseconds{60},
+                       std::chrono::milliseconds{5000});
+  if (!plan.auto_restart && !epoch.kills.empty()) {
+    // Health oracle, cleared half: every replica was restarted above,
+    // so the degradation must be gone from a fresh document.
+    ++report.health_scrapes;
+    const auto doc = service::scrape_instance_health(
+        svc.admin_port(), std::chrono::milliseconds{2000});
+    if (!doc) {
+      violations.push_back(
+          "health oracle: admin health scrape failed after recovery");
+    } else {
+      for (const wire::Degradation& d : doc->degradations)
+        if (d.kind == wire::DegradationKind::kReplicaDown)
+          violations.push_back(
+              "health oracle: replica_down degradation survived full "
+              "recovery (" + d.detail + ")");
+    }
+  }
+  draining.store(true, std::memory_order_release);
+  svc.drain();
+  for (std::thread& t : sub_threads) t.join();
+
+  out.displayed = svc.displayed();
+  out.provenance = svc.provenance();
+  report.session_lag_alerts += svc.session_manager().lag_alerts().size();
+  for (std::size_t r = 0; r < plan.replicas; ++r) {
+    out.journals.push_back(svc.replica_journal(r));
+    out.restarts += svc.replica_restarts(r);
+  }
+  return out;
+}
+
+// ---- crash mode --------------------------------------------------------
+
+/// One single-service crash run: one epoch over the whole feed with
+/// subscriber faults, then optionally the cross-restart replay leg.
+RunOutcome run_crash_iteration(const RunPlan& plan, util::Rng& rng,
+                               const std::filesystem::path& data_dir,
+                               std::uint64_t subscriber_seed,
+                               ServiceFuzzReport& report) {
+  RunOutcome out;
+  service::ServiceConfig config = make_config(plan, data_dir);
+  const SessionFuzzPlan session_plan = make_session_plan(rng);
+  if (session_plan.enabled) config.session_limits = session_plan.limits;
+  std::vector<SubscriberLog> sub_logs(session_plan.subscribers.size());
+  for (std::size_t s = 0; s < sub_logs.size(); ++s)
+    sub_logs[s].plan = session_plan.subscribers[s];
+
+  EpochResult run = run_epoch(
+      plan,
+      Epoch{.end = plan.feed.size(), .kills = plan.kills,
+            .dup_prob = plan.dup_prob},
+      std::move(config), rng, sub_logs, subscriber_seed, report,
+      out.violations);
+  out.kills = run.kills;
+  out.restarts = run.restarts;
+  out.displayed = run.displayed.size();
+  out.detail = ": " + std::to_string(plan.feed.size()) + " updates, " +
+               std::to_string(run.kills) + " kill(s), " +
+               std::to_string(run.restarts) + " restart(s)";
+
+  if (session_plan.enabled) ++report.runs_with_subscribers;
+  for (const SubscriberLog& log : sub_logs) {
+    for (const SessionConnLog& conn : log.conns) {
+      if (conn.got_welcome) ++report.subscriber_conns;
+      if (conn.killed) ++report.subscriber_kills;
+      if (conn.evicted) ++report.session_evictions;
+      if (conn.got_welcome &&
+          conn.welcome.status == wire::SessionWelcomeStatus::kTruncated)
+        ++report.session_truncations;
+      if (conn.got_welcome &&
+          conn.welcome.status == wire::SessionWelcomeStatus::kBadCursor)
+        ++report.session_bad_cursors;
+    }
+  }
+
+  const std::vector<Alert>& displayed = run.displayed;
+  const std::vector<std::string> oracle =
+      check_service_run(plan, plan.feed, std::move(run.journals), displayed,
+                        run.provenance, run.kills);
+  out.violations.insert(out.violations.end(), oracle.begin(), oracle.end());
+  check_sessions(sub_logs, displayed, out.violations);
+
+  // Cross-restart leg: reopen the same durable state and replay a
+  // session cursor through the recovered log — both ends of the
+  // session have now been killed, and the stream must still be
+  // gap-free and content-identical.
+  if (!session_plan.enabled || !session_plan.reopen ||
+      !out.violations.empty())
+    return out;
+  ++report.service_reopens;
+  service::ServiceConfig reopen = make_config(plan, data_dir);
+  reopen.auto_restart = false;
+  reopen.session_limits = session_plan.limits;
+  service::AlertService svc{std::move(reopen)};
+  SubscriberLog relog;
+  relog.plan.id = "reopen";
+  if (!displayed.empty())
+    relog.next_needed = static_cast<std::uint64_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(displayed.size()) - 1));
+  run_reopen_probe(svc.subscriber_port(), relog);
+  svc.drain();
+  std::vector<std::string> reopen_violations;
+  check_sessions({relog}, displayed, reopen_violations);
+  const bool welcomed =
+      !relog.conns.empty() && relog.conns.front().got_welcome;
+  const std::uint64_t log_end =
+      welcomed ? relog.conns.front().welcome.log_end : 0;
+  if (welcomed && log_end != displayed.size())
+    reopen_violations.push_back(
+        "reopened log end " + std::to_string(log_end) +
+        " != first incarnation's displayed count " +
+        std::to_string(displayed.size()) +
+        " (durable alert log lost or invented entries)");
+  if (relog.next_needed < log_end)
+    reopen_violations.push_back("reopen replay stalled at index " +
+                                std::to_string(relog.next_needed));
+  for (std::string& v : reopen_violations)
+    out.violations.push_back("reopen: " + std::move(v));
+  return out;
+}
+
+// ---- upgrade mode ------------------------------------------------------
+
+std::vector<std::uint8_t> read_file(const std::filesystem::path& path) {
+  std::ifstream in{path, std::ios::binary};
+  return std::vector<std::uint8_t>{std::istreambuf_iterator<char>(in),
+                                   std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::filesystem::path& path,
+                std::span<const std::uint8_t> bytes) {
+  std::ofstream out{path, std::ios::binary | std::ios::trunc};
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  if (!out.good())
+    throw std::runtime_error("upgrade-fuzz: cannot write " + path.string());
+}
+
+/// Rewrites one replica's durable files exactly as a v1 binary that
+/// crashed between checkpoint rename and WAL truncate would have left
+/// them: v1 snapshot, headerless WAL with `stale` already-checkpointed
+/// records re-planted before the live tail (replay must drop them via
+/// the recovered watermarks) and optionally a torn final frame, and a
+/// headerless journal.
+void transcode_replica_to_v1(const std::filesystem::path& dir,
+                             const ConditionPtr& condition, std::size_t r,
+                             util::Rng& rng, ServiceFuzzReport& report) {
+  const std::vector<Update> journal =
+      service::DurableReplica::read_journal(dir, r);
+
+  const auto ckpt_path = service::DurableReplica::checkpoint_path(dir, r);
+  if (std::filesystem::exists(ckpt_path)) {
+    wire::FrameCursor cursor;
+    cursor.feed(read_file(ckpt_path));
+    cursor.finish();
+    if (const auto payload = cursor.next()) {
+      ConditionEvaluator ce{condition, "CE" + std::to_string(r + 1)};
+      wire::decode_evaluator_state(*payload, ce);
+      write_file(ckpt_path,
+                 wire::frame(wire::legacy::encode_evaluator_state_v1(ce)));
+      ++report.transcoded_files;
+    }
+  }
+
+  const auto wal_path = service::DurableReplica::wal_path(dir, r);
+  const store::RecoveredUpdates wal = store::recover_updates(wal_path);
+  std::set<std::pair<VarId, SeqNo>> in_wal;
+  for (const Update& u : wal.updates) in_wal.emplace(u.var, u.seqno);
+  std::vector<Update> v1_records;
+  const std::size_t want_stale =
+      static_cast<std::size_t>(rng.uniform_int(0, 5));
+  for (auto it = journal.rbegin();
+       it != journal.rend() && v1_records.size() < want_stale; ++it) {
+    if (!in_wal.contains({it->var, it->seqno})) v1_records.push_back(*it);
+  }
+  std::reverse(v1_records.begin(), v1_records.end());
+  report.stale_wal_records += v1_records.size();
+  v1_records.insert(v1_records.end(), wal.updates.begin(), wal.updates.end());
+  std::vector<std::uint8_t> wal_bytes =
+      wire::legacy::encode_update_log_v1(v1_records);
+  if (!journal.empty() && rng.bernoulli(0.5)) {
+    const auto torn = wire::frame(wire::encode_update(journal.back()));
+    const std::size_t cut = static_cast<std::size_t>(
+        rng.uniform_int(1, static_cast<std::int64_t>(torn.size()) - 1));
+    wal_bytes.insert(wal_bytes.end(), torn.begin(), torn.begin() + cut);
+    ++report.torn_tails_injected;
+  }
+  write_file(wal_path, wal_bytes);
+  ++report.transcoded_files;
+
+  write_file(service::DurableReplica::journal_path(dir, r),
+             wire::legacy::encode_update_log_v1(journal));
+  ++report.transcoded_files;
+}
+
+/// Direct codec checks at the version boundary, on the state replica 0
+/// actually reached: unknown skippable extensions, old-reader rejection
+/// of new bytes, and typed rejection of a future major.
+std::vector<std::string> forward_compat_checks(
+    const ConditionPtr& condition, const std::vector<Update>& journal) {
+  std::vector<std::string> violations;
+  ConditionEvaluator ce{condition, "CE1"};
+  for (const Update& u : journal) ce.replay_update(u);
+  const std::vector<std::uint8_t> v2 = wire::encode_evaluator_state(ce);
+
+  // 1. A v(N+1) writer adding an unknown skippable extension must not
+  // change what a v(N=current) reader recovers. The current encoding
+  // ends with an empty extension section (a single 0x00 count); replace
+  // it with one unknown entry.
+  {
+    std::vector<std::uint8_t> extended{v2.begin(), v2.end() - 1};
+    wire::Writer w;
+    w.varint(1);
+    w.u8(0x7E);  // tag no current reader knows
+    const std::uint8_t blob[] = {0xDE, 0xAD, 0xBE};
+    w.varint(std::size(blob));
+    w.raw(blob);
+    const auto section = w.take();
+    extended.insert(extended.end(), section.begin(), section.end());
+    try {
+      ConditionEvaluator got{condition, "CE1"};
+      wire::decode_evaluator_state(extended, got);
+      if (wire::encode_evaluator_state(got) != v2)
+        violations.push_back(
+            "snapshot with unknown extension decoded to different state");
+    } catch (const wire::DecodeError&) {
+      violations.push_back(
+          "snapshot with unknown skippable extension was rejected");
+    }
+  }
+
+  // 2. A simulated v1 reader must reject v2 bytes cleanly (DecodeError,
+  // not a misparse into bogus state).
+  try {
+    ConditionEvaluator old_reader{condition, "CE1"};
+    wire::legacy::decode_evaluator_state_v1(v2, old_reader);
+    violations.push_back("v1 reader accepted v2 snapshot bytes");
+  } catch (const wire::DecodeError&) {
+  }
+
+  // 3. A future major must be rejected with the TYPED error so callers
+  // can distinguish "upgrade me" from "corrupt file".
+  {
+    std::vector<std::uint8_t> future = v2;
+    future[1] = 99;  // major byte of the version header
+    try {
+      ConditionEvaluator got{condition, "CE1"};
+      wire::decode_evaluator_state(future, got);
+      violations.push_back("major-99 snapshot was accepted");
+    } catch (const wire::UnsupportedVersion&) {
+    } catch (const wire::DecodeError&) {
+      violations.push_back(
+          "major-99 snapshot rejected with untyped DecodeError");
+    }
+  }
+
+  // 4. v1 bytes written by the legacy encoder must round-trip through
+  // the current reader to the same state the current encoder describes.
+  try {
+    ConditionEvaluator got{condition, "CE1"};
+    wire::decode_evaluator_state(wire::legacy::encode_evaluator_state_v1(ce),
+                                 got);
+    if (wire::encode_evaluator_state(got) != v2)
+      violations.push_back("v1 snapshot round-trip changed evaluator state");
+  } catch (const wire::DecodeError&) {
+    violations.push_back("current reader rejected v1 snapshot bytes");
+  }
+  return violations;
+}
+
+
+/// One upgrade run: phase A over the first half of the feed, the v1
+/// transcode, then phase B over the rest with the plan's kills remapped
+/// onto it, checked by the crash oracle over both phases.
+RunOutcome run_upgrade_iteration(const RunPlan& plan, util::Rng& rng,
+                                 const std::filesystem::path& data_dir,
+                                 ServiceFuzzReport& report) {
+  RunOutcome out;
+  const ConditionPtr condition =
+      build_condition(plan.choice.kind, plan.choice.param);
+  // The feed splits at the upgrade point: phase A is the v1 epoch,
+  // phase B everything after the binary swap.
+  const std::size_t split = plan.feed.size() / 2;
+  const std::size_t phase_b_len = plan.feed.size() - split;
+  std::vector<SubscriberLog> no_subscribers;
+
+  // Phase A stops mid-feed, so it drains without ENDs: the DM streams
+  // continue in phase B.
+  EpochResult phase_a =
+      run_epoch(plan, Epoch{.end = split}, make_config(plan, data_dir), rng,
+                no_subscribers, 0, report, out.violations);
+
+  for (std::size_t r = 0; r < plan.replicas; ++r)
+    transcode_replica_to_v1(data_dir, condition, r, rng, report);
+  const std::vector<std::string> compat = forward_compat_checks(
+      condition, service::DurableReplica::read_journal(data_dir, 0));
+  out.violations.insert(out.violations.end(), compat.begin(), compat.end());
+
+  // The phase-B kill schedule reuses the plan's kills, remapped onto
+  // the post-upgrade half of the feed.
+  std::vector<KillEvent> kills = plan.kills;
+  for (KillEvent& e : kills) e.at_step %= phase_b_len;
+  std::sort(kills.begin(), kills.end(),
+            [](const KillEvent& a, const KillEvent& b) {
+              return a.at_step < b.at_step;
+            });
+  EpochResult phase_b = run_epoch(
+      plan,
+      Epoch{.begin = split, .end = plan.feed.size(), .kills = std::move(kills),
+            .dup_prob = split > 0 ? 0.1 : 0.0, .dup_pool = split},
+      make_config(plan, data_dir), rng, no_subscribers, 0, report,
+      out.violations);
+
+  out.kills = phase_a.kills + phase_b.kills;
+  out.restarts = phase_a.restarts + phase_b.restarts;
+  out.detail = ": " + std::to_string(split) + "+" +
+               std::to_string(phase_b_len) + " updates, " +
+               std::to_string(out.kills) + " kill(s), " +
+               std::to_string(out.restarts) + " restart(s)";
+
+  // The service restart at the boundary starts a fresh (volatile) AD
+  // ledger, so the displayed sequence is two displayer incarnations —
+  // ledger-backed guarantees are per epoch.
+  std::vector<std::size_t> epochs{phase_a.displayed.size(),
+                                  phase_b.displayed.size()};
+  std::vector<Alert> displayed = std::move(phase_a.displayed);
+  displayed.insert(displayed.end(), phase_b.displayed.begin(),
+                   phase_b.displayed.end());
+  std::vector<AlertProvenance> provenance = std::move(phase_a.provenance);
+  provenance.insert(provenance.end(), phase_b.provenance.begin(),
+                    phase_b.provenance.end());
+  out.displayed = displayed.size();
+  const std::vector<std::string> oracle = check_service_run(
+      plan, plan.feed, std::move(phase_b.journals), std::move(displayed),
+      provenance, out.kills, std::move(epochs));
+  out.violations.insert(out.violations.end(), oracle.begin(), oracle.end());
+  return out;
 }
 
 }  // namespace
 
 ServiceFuzzReport run_service_fuzz(const ServiceFuzzOptions& options) {
+  const bool upgrade = options.mode == ServiceFuzzMode::kUpgrade;
+  const char* const mode_name = upgrade ? "upgrade-fuzz" : "service-fuzz";
   ServiceFuzzReport report;
   const std::filesystem::path scratch =
       options.scratch_dir.empty()
-          ? std::filesystem::temp_directory_path() / "rcm_service_fuzz"
+          ? std::filesystem::temp_directory_path() /
+                (upgrade ? "rcm_upgrade_fuzz" : "rcm_service_fuzz")
           : options.scratch_dir;
   std::filesystem::create_directories(scratch);
 
   for (std::size_t i = 0; i < options.runs; ++i) {
     util::Rng rng = util::Rng::derive(options.seed, i);
     const RunPlan plan = make_service_plan(rng);
-    const std::size_t arity = condition_arity(plan.choice.kind);
     const std::filesystem::path data_dir =
         scratch / ("run-" + std::to_string(options.seed) + "-" +
                    std::to_string(i));
     std::filesystem::remove_all(data_dir);
 
-    if (rng.bernoulli(options.sharded_fraction)) {
-      ShardedRunStats stats;
-      std::size_t displayed_count = 0;
-      const std::vector<std::string> violations =
-          run_sharded_iteration(plan, rng, data_dir, stats, displayed_count);
-      ++report.runs_executed;
-      ++report.sharded_runs;
-      if (stats.cross_shard) ++report.cross_shard_runs;
-      report.shard_reshards += stats.reshards;
-      report.shard_kills += stats.kills;
-      report.total_kills += stats.kills;
-      if (stats.kills > 0) ++report.runs_with_kills;
-      if (displayed_count > 0) ++report.runs_with_alerts;
-      if (options.verbose)
-        std::printf("service-fuzz run %zu (sharded%s): %zu updates, "
-                    "%zu kill(s), %zu reshard(s)%s\n",
-                    i, stats.cross_shard ? ", cross-shard" : "",
-                    plan.feed.size(), stats.kills, stats.reshards,
-                    violations.empty() ? "" : "  ** VIOLATION **");
-      if (violations.empty()) {
-        std::error_code ec;
-        std::filesystem::remove_all(data_dir, ec);
-      } else {
-        for (const std::string& v : violations)
-          report.violations.push_back(
-              ServiceFuzzViolation{i, options.seed, v, data_dir});
-      }
-      continue;
-    }
-
-    service::ServiceConfig config;
-    config.condition = build_condition(plan.choice.kind, plan.choice.param);
-    config.num_replicas = plan.replicas;
-    config.filter = plan.filter;
-    config.data_dir = data_dir;
-    config.checkpoint_every = plan.checkpoint_every;
-    config.record_journal = true;
-    config.auto_restart = plan.auto_restart;
-    config.backoff.initial = std::chrono::milliseconds{1};
-    config.backoff.max = std::chrono::milliseconds{50};
-    config.backoff.reset_after = std::chrono::milliseconds{1};
-    config.poll_interval = std::chrono::milliseconds{5};
-
-    const SessionFuzzPlan session_plan = options.subscriber_faults
-                                             ? make_session_plan(rng)
-                                             : SessionFuzzPlan{};
-    if (session_plan.enabled) config.session_limits = session_plan.limits;
-    std::vector<SubscriberLog> sub_logs(session_plan.subscribers.size());
-    for (std::size_t s = 0; s < sub_logs.size(); ++s)
-      sub_logs[s].plan = session_plan.subscribers[s];
-
-    std::size_t kills_done = 0;
-    std::vector<std::vector<Update>> journals;
-    std::vector<Alert> displayed;
-    std::vector<AlertProvenance> provenance;
-    std::size_t restarts = 0;
-    std::size_t lag_alerts = 0;
-    std::size_t health_scrapes = 0;
-    std::size_t health_degraded = 0;
-    std::vector<std::string> health_violations;
-    {
-      service::AlertService svc{std::move(config)};
-      const std::vector<std::uint16_t> ports = svc.replica_ports();
-      net::UdpSocket feeder;
-
-      std::atomic<bool> draining{false};
-      std::vector<std::thread> sub_threads;
-      for (std::size_t s = 0; s < sub_logs.size(); ++s)
-        sub_threads.emplace_back(run_subscriber_agent, svc.subscriber_port(),
-                                 options.seed * 1000003 + i * 31 + s,
-                                 std::cref(draining), std::ref(sub_logs[s]));
-
-      // (step -> pending manual restarts) computed as we go.
-      std::vector<std::pair<std::size_t, std::size_t>> manual_restarts;
-      std::size_t next_kill = 0;
-      for (std::size_t step = 0; step < plan.feed.size(); ++step) {
-        while (next_kill < plan.kills.size() &&
-               plan.kills[next_kill].at_step == step) {
-          const KillEvent& e = plan.kills[next_kill++];
-          svc.kill_replica(e.replica);
-          ++kills_done;
-          if (!plan.auto_restart) {
-            // Health oracle, degraded half: with no auto-restart racing
-            // us, the admin health document scraped right after the kill
-            // must carry a replica-down degradation.
-            ++health_scrapes;
-            const auto doc = service::scrape_instance_health(
-                svc.admin_port(), std::chrono::milliseconds{2000});
-            if (!doc) {
-              health_violations.push_back(
-                  "health oracle: admin health scrape failed after kill");
-            } else {
-              const bool down = std::any_of(
-                  doc->degradations.begin(), doc->degradations.end(),
-                  [](const wire::Degradation& d) {
-                    return d.kind == wire::DegradationKind::kReplicaDown;
-                  });
-              if (!down || doc->healthy)
-                health_violations.push_back(
-                    "health oracle: no replica_down degradation right "
-                    "after killing replica " + std::to_string(e.replica));
-              else
-                ++health_degraded;
-            }
-            manual_restarts.emplace_back(step + e.restart_after, e.replica);
-          }
-        }
-        for (auto it = manual_restarts.begin();
-             it != manual_restarts.end();) {
-          if (it->first <= step) {
-            svc.restart_replica(it->second);
-            it = manual_restarts.erase(it);
-          } else {
-            ++it;
-          }
-        }
-        const auto framed =
-            wire::frame(wire::encode_update(plan.feed[step]));
-        for (const std::uint16_t port : ports)
-          feeder.try_send_to(port, framed);
-        if (plan.dup_prob > 0 && rng.bernoulli(plan.dup_prob))
-          feeder.try_send_to(
-              ports[static_cast<std::size_t>(rng.uniform_int(
-                  0, static_cast<std::int64_t>(ports.size()) - 1))],
-              framed);
-      }
-
-      // Bring everyone back so the END markers land somewhere durable,
-      // then repeat them (idempotent) until the service has them all.
-      for (std::size_t r = 0; r < plan.replicas; ++r) svc.restart_replica(r);
-      for (int attempt = 0; attempt < 40; ++attempt) {
-        for (std::size_t var = 0; var < arity; ++var) {
-          const auto end = wire::frame(wire::encode_end_marker(var));
-          for (const std::uint16_t port : ports)
-            feeder.try_send_to(port, end);
-        }
-        if (svc.await_dm_ends(arity, std::chrono::milliseconds{100})) break;
-      }
-      (void)svc.await_idle(std::chrono::milliseconds{60},
-                           std::chrono::milliseconds{5000});
-      if (!plan.auto_restart && !plan.kills.empty()) {
-        // Health oracle, cleared half: every replica was restarted above,
-        // so the degradation must be gone from a fresh document.
-        ++health_scrapes;
-        const auto doc = service::scrape_instance_health(
-            svc.admin_port(), std::chrono::milliseconds{2000});
-        if (!doc) {
-          health_violations.push_back(
-              "health oracle: admin health scrape failed after recovery");
-        } else {
-          for (const wire::Degradation& d : doc->degradations)
-            if (d.kind == wire::DegradationKind::kReplicaDown)
-              health_violations.push_back(
-                  "health oracle: replica_down degradation survived full "
-                  "recovery (" + d.detail + ")");
-        }
-      }
-      draining.store(true, std::memory_order_release);
-      svc.drain();
-      for (std::thread& t : sub_threads) t.join();
-
-      displayed = svc.displayed();
-      provenance = svc.provenance();
-      lag_alerts = svc.session_manager().lag_alerts().size();
-      for (std::size_t r = 0; r < plan.replicas; ++r) {
-        journals.push_back(svc.replica_journal(r));
-        restarts += svc.replica_restarts(r);
-      }
-    }
+    const RunOutcome out =
+        upgrade ? run_upgrade_iteration(plan, rng, data_dir, report)
+        : rng.bernoulli(options.sharded_fraction)
+            ? run_sharded_iteration(plan, rng, data_dir, report)
+            : run_crash_iteration(plan, rng, data_dir,
+                                  options.seed * 1000003 + i * 31, report);
 
     ++report.runs_executed;
-    report.total_kills += kills_done;
-    report.total_restarts += restarts;
-    if (kills_done > 0) ++report.runs_with_kills;
-    if (!displayed.empty()) ++report.runs_with_alerts;
-    if (session_plan.enabled) ++report.runs_with_subscribers;
-    report.session_lag_alerts += lag_alerts;
-    for (const SubscriberLog& log : sub_logs) {
-      for (const SessionConnLog& conn : log.conns) {
-        if (conn.got_welcome) ++report.subscriber_conns;
-        if (conn.killed) ++report.subscriber_kills;
-        if (conn.evicted) ++report.session_evictions;
-        if (conn.got_welcome &&
-            conn.welcome.status == wire::SessionWelcomeStatus::kTruncated)
-          ++report.session_truncations;
-        if (conn.got_welcome &&
-            conn.welcome.status == wire::SessionWelcomeStatus::kBadCursor)
-          ++report.session_bad_cursors;
-      }
-    }
-
-    report.health_scrapes += health_scrapes;
-    report.health_degraded_seen += health_degraded;
-
-    std::vector<std::string> violations = check_service_run(
-        plan, plan.feed, std::move(journals), displayed, provenance,
-        kills_done);
-    check_sessions(sub_logs, displayed, violations);
-    violations.insert(violations.end(), health_violations.begin(),
-                      health_violations.end());
-
-    // Cross-restart leg: reopen the same durable state and replay a
-    // session cursor through the recovered log — both ends of the
-    // session have now been killed, and the stream must still be
-    // gap-free and content-identical.
-    if (session_plan.enabled && session_plan.reopen && violations.empty()) {
-      ++report.service_reopens;
-      service::ServiceConfig config2;
-      config2.condition =
-          build_condition(plan.choice.kind, plan.choice.param);
-      config2.num_replicas = plan.replicas;
-      config2.filter = plan.filter;
-      config2.data_dir = data_dir;
-      config2.auto_restart = false;
-      config2.session_limits = session_plan.limits;
-      config2.poll_interval = std::chrono::milliseconds{5};
-      service::AlertService svc2{std::move(config2)};
-      SubscriberLog relog;
-      relog.plan.id = "reopen";
-      if (!displayed.empty())
-        relog.next_needed = static_cast<std::uint64_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(displayed.size()) - 1));
-      run_reopen_probe(svc2.subscriber_port(), relog);
-      svc2.drain();
-      std::vector<std::string> reopen_violations;
-      check_sessions({relog}, displayed, reopen_violations);
-      if (!relog.conns.empty() && relog.conns.front().got_welcome &&
-          relog.conns.front().welcome.log_end != displayed.size())
-        reopen_violations.push_back(
-            "reopened log end " +
-            std::to_string(relog.conns.front().welcome.log_end) +
-            " != first incarnation's displayed count " +
-            std::to_string(displayed.size()) +
-            " (durable alert log lost or invented entries)");
-      if (relog.next_needed <
-          (relog.conns.empty() || !relog.conns.front().got_welcome
-               ? std::uint64_t{0}
-               : relog.conns.front().welcome.log_end))
-        reopen_violations.push_back(
-            "reopen replay stalled at index " +
-            std::to_string(relog.next_needed));
-      for (std::string& v : reopen_violations)
-        violations.push_back("reopen: " + std::move(v));
-    }
-
-    if (options.verbose) {
-      std::printf("service-fuzz run %zu: %zu updates, %zu kill(s), "
-                  "%zu restart(s)%s\n",
-                  i, plan.feed.size(), kills_done, restarts,
-                  violations.empty() ? "" : "  ** VIOLATION **");
-    }
-    if (violations.empty()) {
+    report.total_kills += out.kills;
+    report.total_restarts += out.restarts;
+    if (out.kills > 0) ++report.runs_with_kills;
+    if (out.displayed > 0) ++report.runs_with_alerts;
+    if (options.verbose)
+      std::printf("%s run %zu%s%s\n", mode_name, i, out.detail.c_str(),
+                  out.violations.empty() ? "" : "  ** VIOLATION **");
+    if (out.violations.empty()) {
       std::error_code ec;
       std::filesystem::remove_all(data_dir, ec);  // clean run: no debris
     } else {
-      for (const std::string& v : violations)
+      for (const std::string& v : out.violations)
         report.violations.push_back(
             ServiceFuzzViolation{i, options.seed, v, data_dir});
     }

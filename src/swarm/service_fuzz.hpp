@@ -1,11 +1,13 @@
-// Crash-recovery fuzz mode: randomized kill/restart schedules against a
-// REAL AlertService (kernel sockets, worker threads, durable files) —
-// the service-layer sibling of the simulator-based swarm harness.
+// Service fuzz driver: randomized runs against a REAL AlertService
+// (kernel sockets, worker threads, durable files) — the service-layer
+// sibling of the simulator-based swarm harness. Two modes share one run
+// loop and one oracle (swarm/fuzz_plan.hpp).
 //
-// Each seeded iteration builds a service in a scratch directory with
-// journals enabled, feeds randomized update streams over UDP while
-// killing and restarting replicas at random points, drains, and then
-// checks the observables against two layers of oracle:
+// Crash mode (`--service-fuzz`). Each seeded iteration builds a service
+// in a scratch directory with journals enabled, feeds randomized update
+// streams over UDP while killing and restarting replicas at random
+// points, drains, and then checks the observables against two layers of
+// oracle:
 //
 //   1. Mechanical invariants that hold for every run:
 //      - each replica's journal is, per variable, a strictly-increasing-
@@ -35,6 +37,43 @@
 // state afterwards and replay a session cursor across the restart
 // boundary (kills of BOTH ends of the session).
 //
+// Upgrade mode (`--upgrade-fuzz`), the FoundationDB-style mixed-version
+// restarting test. Each seeded run is one simulated rolling upgrade:
+//
+//   phase A  a real AlertService ingests the first half of the feed
+//            over UDP (no kills), drains gracefully, and leaves its
+//            durable state (checkpoints, WALs, journals, ends log)
+//            behind;
+//   transcode  that state is rewritten BYTE-FOR-BYTE as a v1 binary
+//            would have left it (wire/legacy.hpp encoders): headerless
+//            WALs and journals, 's'-tagged snapshots — plus the two
+//            artifacts a real crash leaves, a stale WAL prefix of
+//            already-checkpointed records and an optional torn tail;
+//   phase B  a second AlertService (the "upgraded binary") recovers
+//            that v1 state, ingests the rest of the feed under random
+//            kill/restart schedules and duplicate resends of phase-A
+//            updates, then terminates with the END protocol.
+//
+// The oracle is the crash-mode oracle over the concatenated observables
+// of both phases. Any watermark regression across the version boundary
+// shows up as a journal-monotonicity or duplicate-display violation; any
+// state mistranslation shows up as a displayed-but-never-raised alert.
+// One boundary subtlety: the AD's ledger (what AD-2/AD-3 use to
+// guarantee orderedness/consistency across alerts) is volatile, so the
+// two phases are two displayer incarnations and the ledger-backed
+// guarantees are claimed per incarnation — the oracle's
+// `displayer_epochs` parameter encodes exactly this. Completeness and
+// every mechanical invariant still hold over the union. Each run also
+// performs direct forward-compat checks on the snapshot codec: a v2
+// snapshot carrying an unknown skippable extension must decode to
+// identical state, a simulated v1 reader must reject v2 bytes with
+// DecodeError, and a future-major header must be rejected with the
+// typed UnsupportedVersion, never a crash or a misparse.
+//
+// Both modes run every service epoch through the same loop: kills,
+// manual restarts (with the health oracle around them), sends to every
+// replica port, duplicate resends, END markers until acknowledged, drain.
+//
 // Unlike SwarmSpec runs, these executions are wall-clock nondeterministic
 // (real threads and sockets), so there is no digest or shrinking — the
 // per-iteration seed is reported instead so a failure can be re-run.
@@ -47,22 +86,26 @@
 
 namespace rcm::swarm {
 
+enum class ServiceFuzzMode {
+  kCrash,    ///< one epoch over the whole feed, with subscriber faults
+  kUpgrade,  ///< phase A, v1 transcode, phase B (see header comment)
+};
+
 struct ServiceFuzzOptions {
+  ServiceFuzzMode mode = ServiceFuzzMode::kCrash;
   std::uint64_t seed = 1;
   std::size_t runs = 200;
   /// Scratch root for per-run data dirs; empty = system temp. Each run's
   /// directory is removed after a clean check, kept on violation.
   std::filesystem::path scratch_dir;
   bool verbose = false;
-  /// Attach durable-session subscribers with injected faults (kills,
-  /// stale/garbage cursors, slow readers, duplicate ids) to most runs.
-  bool subscriber_faults = true;
-  /// Fraction of runs executed against a ShardedCluster (2-3 shards +
-  /// merge tier) instead of a single service: feeds route through the
-  /// wire shard map, kills hit shard AND merge replicas, and 0-2 mid-run
-  /// reshard events (shard add/remove with durable handoff) fire while
-  /// updates are in flight. Sharded runs skip subscriber faults — the
-  /// evaluating instance can be retired by a reshard mid-stream.
+  /// Crash mode: fraction of runs executed against a ShardedCluster (2-3
+  /// shards + merge tier) instead of a single service: feeds route
+  /// through the wire shard map, kills hit shard AND merge replicas, and
+  /// 0-2 mid-run reshard events (shard add/remove with durable handoff)
+  /// fire while updates are in flight. Sharded runs skip subscriber
+  /// faults — the evaluating instance can be retired by a reshard
+  /// mid-stream.
   double sharded_fraction = 0.3;
 };
 
@@ -79,6 +122,7 @@ struct ServiceFuzzReport {
   std::size_t runs_with_alerts = 0;
   std::size_t total_kills = 0;
   std::size_t total_restarts = 0;
+  std::size_t duplicate_resends = 0;     ///< extra copies of a sent update
   // Durable-session fault coverage (see header comment).
   std::size_t runs_with_subscribers = 0;
   std::size_t subscriber_conns = 0;      ///< welcomed session connections
@@ -98,13 +142,19 @@ struct ServiceFuzzReport {
   // reported (then cleared) the replica-down degradation.
   std::size_t health_scrapes = 0;        ///< admin health documents fetched
   std::size_t health_degraded_seen = 0;  ///< kills confirmed degraded
+  // Upgrade-mode coverage.
+  std::size_t transcoded_files = 0;      ///< durable files rewritten as v1
+  std::size_t torn_tails_injected = 0;   ///< v1 WALs left with a torn frame
+  std::size_t stale_wal_records = 0;     ///< already-checkpointed records
+                                         ///< re-planted in v1 WALs
   std::vector<ServiceFuzzViolation> violations;
 
   [[nodiscard]] bool failed() const noexcept { return !violations.empty(); }
 };
 
-/// Runs the batch. Throws std::runtime_error on environment errors
-/// (scratch dir not writable); violations are reported, not thrown.
+/// Runs the batch in `options.mode`. Throws std::runtime_error on
+/// environment errors (scratch dir not writable); violations are
+/// reported, not thrown.
 [[nodiscard]] ServiceFuzzReport run_service_fuzz(
     const ServiceFuzzOptions& options);
 
