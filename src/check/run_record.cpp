@@ -13,28 +13,38 @@ constexpr std::uint8_t kRunTag = 0x52;  // 'R'
 constexpr std::uint8_t kVersion = 1;
 constexpr std::uint64_t kMaxCount = 1u << 24;
 
+// The run layout, written once for every output. Each update and alert
+// is prefixed by its encoded length, which a ByteCounter pass over the
+// same layout supplies, so no entry is ever built as a byte vector.
+template <typename Out>
+void write_run(Out& out, std::span<const std::vector<Update>> ce_inputs,
+               std::span<const Alert> displayed) {
+  out.u8(kRunTag);
+  out.u8(kVersion);
+  out.varint(ce_inputs.size());
+  for (const auto& input : ce_inputs) {
+    out.varint(input.size());
+    for (const Update& u : input) {
+      wire::ByteCounter len;
+      wire::write_update(len, u);
+      out.varint(len.size());
+      wire::write_update(out, u);
+    }
+  }
+  out.varint(displayed.size());
+  for (const Alert& a : displayed) {
+    wire::ByteCounter len;
+    wire::write_alert(len, a, wire::AlertEncoding::kFullHistories);
+    out.varint(len.size());
+    wire::write_alert(out, a, wire::AlertEncoding::kFullHistories);
+  }
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_system_run(const SystemRun& run) {
   wire::Writer w;
-  w.u8(kRunTag);
-  w.u8(kVersion);
-  w.varint(run.ce_inputs.size());
-  for (const auto& input : run.ce_inputs) {
-    w.varint(input.size());
-    for (const Update& u : input) {
-      const auto bytes = wire::encode_update(u);
-      w.varint(bytes.size());
-      w.raw(bytes);
-    }
-  }
-  w.varint(run.displayed.size());
-  for (const Alert& a : run.displayed) {
-    const auto bytes =
-        wire::encode_alert(a, wire::AlertEncoding::kFullHistories);
-    w.varint(bytes.size());
-    w.raw(bytes);
-  }
+  write_run(w, run.ce_inputs, run.displayed);
   return w.take();
 }
 
@@ -76,17 +86,16 @@ SystemRun decode_system_run(std::span<const std::uint8_t> bytes,
 }
 
 std::uint64_t fnv1a(std::span<const std::uint8_t> bytes, std::uint64_t seed) {
-  std::uint64_t h = seed;
-  for (std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  wire::Fnv1aHasher h{seed};
+  h.raw(bytes);
+  return h.hash();
 }
 
-std::uint64_t run_digest(const SystemRun& run) {
-  const auto bytes = encode_system_run(run);
-  return fnv1a(bytes);
+std::uint64_t run_digest(std::span<const std::vector<Update>> ce_inputs,
+                         std::span<const Alert> displayed) {
+  wire::Fnv1aHasher h;
+  write_run(h, ce_inputs, displayed);
+  return h.hash();
 }
 
 void save_run(const std::filesystem::path& path, const SystemRun& run) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "check/properties.hpp"
+#include "wire/buffer.hpp"
 
 namespace rcm::check {
 
@@ -35,13 +36,19 @@ void save_run(const std::filesystem::path& path, const SystemRun& run);
 /// FNV-1a 64-bit digest over arbitrary bytes; exposed so callers can fold
 /// additional observations (e.g. display timestamps) into a run digest
 /// with the same function. `seed` chains digests: pass a previous result.
-[[nodiscard]] std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
-                                  std::uint64_t seed = 0xcbf29ce484222325ULL);
+[[nodiscard]] std::uint64_t fnv1a(
+    std::span<const std::uint8_t> bytes,
+    std::uint64_t seed = wire::Fnv1aHasher::kOffsetBasis);
 
-/// Stable fingerprint of a run: fnv1a over encode_system_run(run). Two
-/// runs have equal digests iff their serialized inputs and displayed
-/// alerts are bit-for-bit identical — the equality the swarm harness uses
-/// to certify that a replayed counterexample reproduced exactly.
-[[nodiscard]] std::uint64_t run_digest(const SystemRun& run);
+/// Stable fingerprint of a run: fnv1a over the bytes encode_system_run
+/// would return for these inputs and displayed alerts. The bytes are
+/// hashed as they are produced and never built, so a digest costs no
+/// allocation and no copy of the run. Two runs have equal digests iff
+/// their serialized inputs and displayed alerts are bit-for-bit identical
+/// (up to FNV collisions) — the equality the swarm harness uses to certify
+/// that a re-execution or a replayed counterexample reproduced exactly.
+[[nodiscard]] std::uint64_t run_digest(
+    std::span<const std::vector<Update>> ce_inputs,
+    std::span<const Alert> displayed);
 
 }  // namespace rcm::check

@@ -204,12 +204,11 @@ void SessionManager::publish(const Alert& a) {
 
   // Lag is re-evaluated against the new log end for every session; the
   // dogfooded CE fires once per excursion above the budget.
-  for (auto& [id, session] : sessions_) check_lag_locked(id, session);
+  for (auto& [id, session] : sessions_) check_lag_locked(session);
   wake_.wake();
 }
 
-void SessionManager::check_lag_locked(const std::string& id,
-                                      Session& session) {
+void SessionManager::check_lag_locked(Session& session) {
   if (!lag_ce_) return;
   const std::uint64_t lag = end_ - session.cursor.acked;
   if (lag > limits_.lag_alert_budget) {

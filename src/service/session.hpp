@@ -154,7 +154,7 @@ class SessionManager {
   void note_progress_locked(Conn& conn);
   void drop_conn_locked(std::list<Conn>::iterator it);
   void evict_locked(Conn& conn, std::uint64_t lag);
-  void check_lag_locked(const std::string& id, Session& session);
+  void check_lag_locked(Session& session);
   void append_durable_locked(const Alert& a);
   void write_cursor_locked(const std::string& id);
   void compact_cursors_locked();

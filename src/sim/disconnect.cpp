@@ -93,9 +93,10 @@ DisconnectResult run_disconnectable_system(const DisconnectConfig& config) {
       return;
     }
     // Acknowledge (cumulatively) whether or not it is a duplicate.
-    sim.schedule_after(config.ack_delay, [&ces, msg] {
-      ces[msg.replica]->outbox().on_ack(msg.index);
-    });
+    sim.schedule_after(config.ack_delay,
+                       [&ces, replica = msg.replica, index = msg.index] {
+                         ces[replica]->outbox().on_ack(index);
+                       });
     if (!delivered_index[msg.replica].insert(msg.index).second) {
       ++result.duplicate_deliveries;
       return;

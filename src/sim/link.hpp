@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <deque>
 #include <functional>
 #include <stdexcept>
 #include <utility>
@@ -54,6 +55,15 @@ struct LinkShaping {
 /// In-order, optionally lossy, unidirectional message channel carrying
 /// messages of type M. Delivery happens via the callback passed at
 /// construction; the Link must outlive the simulation run.
+///
+/// In-flight messages wait in a per-link FIFO, and a delivery event
+/// captures only the link. That is exact because of the order argument
+/// above: each delivery is scheduled strictly after the previous one on
+/// this link (ties, should the epsilon vanish in rounding, fall back to
+/// the simulator's FIFO tie-break), so the link's delivery events run in
+/// send order and each one pops the message it was scheduled for. A sent
+/// message is copied once, into the FIFO (not at all when sent as an
+/// rvalue), and moved out to the callback.
 template <typename M>
 class Link {
  public:
@@ -84,7 +94,7 @@ class Link {
   /// Submits a message. It is either dropped (with probability
   /// params.loss) or scheduled for delivery after a random delay, no
   /// earlier than the previously scheduled delivery (FIFO order).
-  void send(const M& message) {
+  void send(M message) {
     ++sent_;
     // Outage drops come first and consume no randomness, so the loss and
     // delay pattern outside the windows is the same as without shaping.
@@ -102,10 +112,8 @@ class Link {
     // Enforce in-order delivery: never before the last scheduled arrival.
     at = std::max(at, last_delivery_ + kOrderingEpsilon);
     last_delivery_ = at;
-    sim_.schedule_at(at, [this, message] {
-      ++delivered_;
-      deliver_(message);
-    });
+    in_flight_.push_back(std::move(message));
+    sim_.schedule_at(at, [this] { deliver_next(); });
   }
 
   [[nodiscard]] std::size_t sent() const noexcept { return sent_; }
@@ -115,11 +123,20 @@ class Link {
  private:
   static constexpr double kOrderingEpsilon = 1e-9;
 
+  void deliver_next() {
+    // Moved out first: the callback may send on this link again.
+    const M message = std::move(in_flight_.front());
+    in_flight_.pop_front();
+    ++delivered_;
+    deliver_(message);
+  }
+
   Simulator& sim_;
   LinkParams params_;
   LinkShaping shaping_;
   util::Rng rng_;
   Deliver deliver_;
+  std::deque<M> in_flight_;  ///< scheduled, not yet delivered; send order
   double last_delivery_ = 0.0;
   std::size_t sent_ = 0;
   std::size_t dropped_ = 0;

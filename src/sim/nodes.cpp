@@ -13,9 +13,11 @@ void DataMonitorNode::attach(Link<Update>* front_link) {
 }
 
 void DataMonitorNode::start() {
-  for (const trace::TimedUpdate& tu : trace_) {
-    sim_.schedule_at(tu.time, [this, u = tu.update] {
-      for (Link<Update>* link : links_) link->send(u);
+  // The event captures the trace index, not the update, so it fits in
+  // the action's small buffer (trace_ outlives the run).
+  for (std::size_t i = 0; i < trace_.size(); ++i) {
+    sim_.schedule_at(trace_[i].time, [this, i] {
+      for (Link<Update>* link : links_) link->send(trace_[i].update);
     });
   }
 }
@@ -43,7 +45,7 @@ void EvaluatorNode::inject_crashes(const std::vector<CrashWindow>& windows) {
 void EvaluatorNode::on_update(const Update& u) {
   if (down_) return;  // a crashed CE misses updates entirely
   if (auto alert = ce_.on_update(u)) {
-    if (back_) back_->send(*alert);
+    if (back_) back_->send(std::move(*alert));
   }
 }
 

@@ -8,12 +8,14 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace rcm::sim {
 
-/// Event-queue simulator with a virtual clock.
+/// Event-queue simulator with a virtual clock. Events sit in a binary
+/// heap ordered by (time, scheduling order); dispatch moves each event
+/// out of the heap before running it, so an action's captures are never
+/// copied and the action may schedule further events while it runs.
 class Simulator {
  public:
   using Action = std::function<void()>;
@@ -54,7 +56,10 @@ class Simulator {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  /// Moves the earliest event out of the heap and runs it.
+  void dispatch_next();
+
+  std::vector<Event> queue_;  ///< a heap under Later
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
 };

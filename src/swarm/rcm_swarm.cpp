@@ -184,9 +184,11 @@ int main(int argc, char** argv) {
     const swarm::SwarmReport report = swarm::run_swarm(
         options, [&](std::uint64_t i, const swarm::RunCheck& chk) {
           if (verbose)
-            std::printf("run %llu: %zu displayed / %zu raised%s\n",
+            std::printf("run %llu: %zu displayed / %zu raised, digest "
+                        "%016llx%s\n",
                         static_cast<unsigned long long>(i), chk.displayed,
-                        chk.raised, chk.failed() ? "  ** VIOLATION **" : "");
+                        chk.raised, static_cast<unsigned long long>(chk.digest),
+                        chk.failed() ? "  ** VIOLATION **" : "");
           return true;
         });
 

@@ -1,7 +1,6 @@
 #include "swarm/runner.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <set>
 #include <sstream>
 
@@ -70,15 +69,11 @@ Execution execute(const SwarmSpec& spec) {
 }
 
 std::uint64_t execution_digest(const Execution& exec,
-                               const ConditionPtr& condition) {
-  std::uint64_t h =
-      check::run_digest(exec.result.as_system_run(condition));
-  for (double t : exec.display_times) {
-    std::uint8_t bits[sizeof(double)];
-    std::memcpy(bits, &t, sizeof(double));
-    h = check::fnv1a(bits, h);
-  }
-  return h;
+                               const ConditionPtr& /*condition*/) {
+  wire::Fnv1aHasher h{
+      check::run_digest(exec.result.ce_inputs, exec.result.displayed)};
+  for (double t : exec.display_times) h.f64(t);
+  return h.hash();
 }
 
 RunCheck execute_and_check(const ComposedSpec& spec,

@@ -88,8 +88,11 @@ struct Execution {
 [[nodiscard]] Execution execute(const ComposedSpec& spec);
 [[nodiscard]] Execution execute(const SwarmSpec& spec);
 
-/// Fingerprint of an execution: check::run_digest over the SystemRun,
-/// chained with the IEEE-754 bits of every display timestamp.
+/// Fingerprint of an execution: check::run_digest over the result's
+/// replica inputs and displayed alerts, chained with the IEEE-754 bits
+/// (little-endian) of every display timestamp, streamed into the hash
+/// without copying the run. A run record holds no condition, so
+/// `condition` does not enter the digest.
 [[nodiscard]] std::uint64_t execution_digest(const Execution& exec,
                                              const ConditionPtr& condition);
 

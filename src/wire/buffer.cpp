@@ -4,38 +4,6 @@
 
 namespace rcm::wire {
 
-void Writer::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) bytes_.push_back((v >> (8 * i)) & 0xff);
-}
-
-void Writer::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) bytes_.push_back((v >> (8 * i)) & 0xff);
-}
-
-void Writer::f64(double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
-}
-
-void Writer::varint(std::uint64_t v) {
-  while (v >= 0x80) {
-    bytes_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  bytes_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void Writer::string(std::string_view s) {
-  varint(s.size());
-  bytes_.insert(bytes_.end(), s.begin(), s.end());
-}
-
-void Writer::raw(std::span<const std::uint8_t> bytes) {
-  bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());
-}
-
 std::uint8_t Reader::u8() {
   need(1);
   return bytes_[pos_++];

@@ -1,6 +1,7 @@
 // Byte-buffer primitives for the wire protocol: a bounds-checked reader
 // and an appending writer over contiguous bytes, plus LEB128 varints and
-// zigzag transforms for signed values.
+// zigzag transforms for signed values. The writer's field encodings also
+// drive two outputs that keep no bytes: a counter and an FNV-1a hasher.
 //
 // The monitoring messages (updates, alerts) are tiny and frequent, so the
 // format favors compactness: sequence numbers and counts are varints,
@@ -8,10 +9,12 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rcm::wire {
@@ -35,17 +38,50 @@ class DecodeError : public std::runtime_error {
          -static_cast<std::int64_t>(v & 1);
 }
 
+/// The field encodings of the wire format, written once for every byte
+/// output. `Out` supplies u8(byte) and raw(bytes); this base derives the
+/// fixed-width, varint and string fields from them, so a layout written
+/// against an output (see write_update/write_alert in codec.hpp) emits the
+/// same byte sequence whether the output stores, counts or hashes it.
+template <typename Out>
+class FieldWriter {
+ public:
+  void u32(std::uint32_t v) { fixed(v, 4); }  ///< little-endian 4 bytes
+  void u64(std::uint64_t v) { fixed(v, 8); }  ///< little-endian 8 bytes
+  void f64(double v) {                        ///< IEEE-754 bits, little-endian
+    std::uint64_t bits;
+    static_assert(sizeof(bits) == sizeof(v));
+    std::memcpy(&bits, &v, sizeof(bits));
+    u64(bits);
+  }
+  void varint(std::uint64_t v) {  ///< LEB128
+    while (v >= 0x80) {
+      out().u8(static_cast<std::uint8_t>(v) | 0x80);
+      v >>= 7;
+    }
+    out().u8(static_cast<std::uint8_t>(v));
+  }
+  void svarint(std::int64_t v) { varint(zigzag(v)); }
+  void string(std::string_view s) {  ///< varint length + raw bytes
+    varint(s.size());
+    out().raw({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+  }
+
+ private:
+  Out& out() { return static_cast<Out&>(*this); }
+  void fixed(std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i)
+      out().u8(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+};
+
 /// Appending byte writer.
-class Writer {
+class Writer : public FieldWriter<Writer> {
  public:
   void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u32(std::uint32_t v);              ///< little-endian fixed 4 bytes
-  void u64(std::uint64_t v);              ///< little-endian fixed 8 bytes
-  void f64(double v);                     ///< IEEE-754 bits, little-endian
-  void varint(std::uint64_t v);           ///< LEB128
-  void svarint(std::int64_t v) { varint(zigzag(v)); }
-  void string(std::string_view s);        ///< varint length + raw bytes
-  void raw(std::span<const std::uint8_t> bytes);
+  void raw(std::span<const std::uint8_t> bytes) {
+    bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());
+  }
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept {
     return bytes_;
@@ -55,6 +91,41 @@ class Writer {
 
  private:
   std::vector<std::uint8_t> bytes_;
+};
+
+/// Counts the bytes written and stores none: the length of a nested
+/// message, for its length prefix, without building it.
+class ByteCounter : public FieldWriter<ByteCounter> {
+ public:
+  void u8(std::uint8_t) noexcept { ++size_; }
+  void raw(std::span<const std::uint8_t> bytes) noexcept {
+    size_ += bytes.size();
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+ private:
+  std::size_t size_ = 0;
+};
+
+/// Hashes the bytes written with 64-bit FNV-1a as they arrive and stores
+/// none. `seed` chains hashes: pass a previous hash() to continue it.
+class Fnv1aHasher : public FieldWriter<Fnv1aHasher> {
+ public:
+  static constexpr std::uint64_t kOffsetBasis = 0xcbf29ce484222325ULL;
+
+  explicit Fnv1aHasher(std::uint64_t seed = kOffsetBasis) noexcept
+      : hash_(seed) {}
+  void u8(std::uint8_t v) noexcept {
+    hash_ ^= v;
+    hash_ *= 0x100000001b3ULL;
+  }
+  void raw(std::span<const std::uint8_t> bytes) noexcept {
+    for (std::uint8_t b : bytes) u8(b);
+  }
+  [[nodiscard]] std::uint64_t hash() const noexcept { return hash_; }
+
+ private:
+  std::uint64_t hash_;
 };
 
 /// Bounds-checked byte reader; every method throws DecodeError instead of

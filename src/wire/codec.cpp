@@ -48,22 +48,28 @@ UpdateMessage decode_update_impl(std::span<const std::uint8_t> bytes) {
 
 }  // namespace
 
+template <typename Out>
+void write_update(Out& out, const Update& u) {
+  out.u8(kUpdateTag);
+  out.varint(u.var);
+  out.svarint(u.seqno);
+  out.f64(u.value);
+}
+
+template void write_update(Writer&, const Update&);
+template void write_update(ByteCounter&, const Update&);
+template void write_update(Fnv1aHasher&, const Update&);
+
 std::vector<std::uint8_t> encode_update(const Update& u) {
   Writer w;
-  w.u8(kUpdateTag);
-  w.varint(u.var);
-  w.svarint(u.seqno);
-  w.f64(u.value);
+  write_update(w, u);
   return w.take();
 }
 
 std::vector<std::uint8_t> encode_update(const Update& u,
                                         const obs::trace::TraceContext& ctx) {
   Writer w;
-  w.u8(kUpdateTag);
-  w.varint(u.var);
-  w.svarint(u.seqno);
-  w.f64(u.value);
+  write_update(w, u);
   if (ctx.trace_id != 0) {
     Writer ext;
     ext.varint(ctx.trace_id);
@@ -105,32 +111,41 @@ std::optional<std::size_t> decode_end_marker(
   }
 }
 
-std::vector<std::uint8_t> encode_alert(const Alert& a,
-                                       AlertEncoding encoding) {
-  Writer w;
-  w.u8(kAlertTag);
-  w.u8(static_cast<std::uint8_t>(encoding));
-  w.string(a.cond);
+template <typename Out>
+void write_alert(Out& out, const Alert& a, AlertEncoding encoding) {
+  out.u8(kAlertTag);
+  out.u8(static_cast<std::uint8_t>(encoding));
+  out.string(a.cond);
   switch (encoding) {
     case AlertEncoding::kChecksumOnly:
-      w.u64(a.checksum());
+      out.u64(a.checksum());
       break;
     case AlertEncoding::kSeqnosOnly:
     case AlertEncoding::kFullHistories:
-      w.varint(a.histories.size());
+      out.varint(a.histories.size());
       for (const auto& [var, window] : a.histories) {
-        w.varint(var);
-        w.varint(window.size());
+        out.varint(var);
+        out.varint(window.size());
         // Windows are ascending; delta-encode the seqnos.
         SeqNo prev = 0;
         for (const Update& u : window) {
-          w.svarint(u.seqno - prev);
+          out.svarint(u.seqno - prev);
           prev = u.seqno;
-          if (encoding == AlertEncoding::kFullHistories) w.f64(u.value);
+          if (encoding == AlertEncoding::kFullHistories) out.f64(u.value);
         }
       }
       break;
   }
+}
+
+template void write_alert(Writer&, const Alert&, AlertEncoding);
+template void write_alert(ByteCounter&, const Alert&, AlertEncoding);
+template void write_alert(Fnv1aHasher&, const Alert&, AlertEncoding);
+
+std::vector<std::uint8_t> encode_alert(const Alert& a,
+                                       AlertEncoding encoding) {
+  Writer w;
+  write_alert(w, a, encoding);
   return w.take();
 }
 

@@ -39,6 +39,13 @@ enum class AlertEncoding : std::uint8_t {
   kChecksumOnly = 2,
 };
 
+/// Writes the layout of one data update (no extensions) into `out`, one
+/// of buffer.hpp's outputs: a Writer, a ByteCounter or an Fnv1aHasher.
+/// encode_update is this layout written into a Writer, so counting or
+/// hashing an update sees exactly the bytes encode_update returns.
+template <typename Out>
+void write_update(Out& out, const Update& u);
+
 /// Encodes one data update.
 [[nodiscard]] std::vector<std::uint8_t> encode_update(const Update& u);
 
@@ -73,6 +80,12 @@ struct UpdateMessage {
 /// Decodes an END marker payload; nullopt if `payload` is not one.
 [[nodiscard]] std::optional<std::size_t> decode_end_marker(
     std::span<const std::uint8_t> payload);
+
+/// Writes the layout of one alert at the chosen fidelity into `out` (a
+/// Writer, a ByteCounter or an Fnv1aHasher); encode_alert is this layout
+/// written into a Writer.
+template <typename Out>
+void write_alert(Out& out, const Alert& a, AlertEncoding encoding);
 
 /// Encodes one alert at the chosen fidelity.
 [[nodiscard]] std::vector<std::uint8_t> encode_alert(const Alert& a,

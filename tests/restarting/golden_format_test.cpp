@@ -178,6 +178,21 @@ TEST(GoldenFormat, SwarmRecordDecodesWithEmptyUnitSection) {
   EXPECT_TRUE(record.spec.base == swarm::sample_spec(11, 0));
 }
 
+TEST(GoldenFormat, SwarmRecordReplaysWithMatchingDigest) {
+  // Re-executing the frozen record's spec must reproduce its recorded
+  // digest and run bytes exactly: the run digest is unchanged since v1.
+  const auto bytes = fixture_bytes("swarm_record.v1.bin");
+  wire::FrameCursor cursor;
+  cursor.feed(bytes);
+  cursor.finish();
+  const auto payload = cursor.next();
+  ASSERT_TRUE(payload.has_value());
+  const swarm::ReplayResult result =
+      swarm::replay(swarm::decode_record(*payload));
+  EXPECT_TRUE(result.digest_matched);
+  EXPECT_TRUE(result.violations_matched);
+}
+
 TEST(GoldenFormat, ShardMapDecodesToTheFrozenLayout) {
   const auto bytes = fixture_bytes("shardmap.v1.bin");
   EXPECT_EQ(wire::decode_shard_map(bytes), corpus_shard_map());

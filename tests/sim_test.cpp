@@ -3,7 +3,9 @@
 // whole-system runs, determinism and crash injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "core/builtin_conditions.hpp"
 #include "core/sequence.hpp"
@@ -49,6 +51,43 @@ TEST(Simulator, EventsMayScheduleEvents) {
   });
   EXPECT_EQ(sim.run(), 2u);
   EXPECT_EQ(fired, 2);
+  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+}
+
+TEST(Simulator, EventsScheduledDuringDispatchKeepTimeThenFifoOrder) {
+  // One action schedules hundreds of events while it runs, so the event
+  // heap grows (and reallocates) under the dispatch loop. Each event
+  // carries a heap-allocated payload that must arrive intact, and all run
+  // in (time, scheduling order), interleaved with events queued before.
+  Simulator sim;
+  constexpr int kEvents = 600;
+  std::vector<int> order;
+  struct Expected {
+    double time;
+    int id;
+  };
+  std::vector<Expected> expected;  // in scheduling order
+  auto schedule = [&](double at, int id) {
+    std::vector<int> payload(static_cast<std::size_t>(id % 9 + 2), id);
+    expected.push_back({at, id});
+    sim.schedule_at(at, [&order, id, payload = std::move(payload)] {
+      for (int v : payload) EXPECT_EQ(v, id);
+      order.push_back(id);
+    });
+  };
+  schedule(1.5, -1);
+  schedule(2.0, -2);
+  sim.schedule_at(1.0, [&] {
+    for (int i = 0; i < kEvents; ++i) schedule(1.0 + (i * 7 % 5) * 0.25, i);
+  });
+  EXPECT_EQ(sim.run(), kEvents + 3u);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Expected& a, const Expected& b) {
+                     return a.time < b.time;
+                   });
+  ASSERT_EQ(order.size(), expected.size());
+  for (std::size_t k = 0; k < order.size(); ++k)
+    EXPECT_EQ(order[k], expected[k].id) << "position " << k;
   EXPECT_DOUBLE_EQ(sim.now(), 2.0);
 }
 
@@ -145,6 +184,81 @@ TEST(Link, LosslessDeliversEverything) {
     sim.schedule_at(0.0, [&link, i] { link.send(i); });
   sim.run();
   EXPECT_EQ(received, 1000u);
+}
+
+// A link message that counts how often it is copied: every copy of one
+// message shares (and bumps) the same counter.
+struct CountedMessage {
+  explicit CountedMessage(int i) : id(i) {}
+  CountedMessage(const CountedMessage& o) : id(o.id), copies(o.copies) {
+    ++*copies;
+  }
+  CountedMessage(CountedMessage&&) noexcept = default;
+  CountedMessage& operator=(const CountedMessage& o) {
+    id = o.id;
+    copies = o.copies;
+    ++*copies;
+    return *this;
+  }
+  CountedMessage& operator=(CountedMessage&&) noexcept = default;
+
+  int id = 0;
+  std::shared_ptr<int> copies = std::make_shared<int>(0);
+};
+
+TEST(Link, InFlightMessagesAreNotCopiedAndKeepOrderAndTimes) {
+  // A sent lvalue is copied once (into the link), an rvalue never; the
+  // delivery order and times are the link model's, recomputed here from
+  // the same RNG stream: per send, a Bernoulli loss draw, then a uniform
+  // delay, then no earlier than 1e-9 s after the previous delivery.
+  const LinkParams params{0.0, 0.05, 0.25};
+  constexpr int kSends = 400;
+  auto send_time = [](int i) { return 0.002 * (i / 3); };  // ties in threes
+
+  Simulator sim;
+  struct Delivery {
+    int id;
+    double time;
+    int copies;
+  };
+  std::vector<Delivery> got;
+  Link<CountedMessage> link{sim, params, util::Rng{17},
+                            [&](const CountedMessage& m) {
+                              got.push_back({m.id, sim.now(), *m.copies});
+                            }};
+  for (int i = 0; i < kSends; ++i) {
+    sim.schedule_at(send_time(i), [&link, i] {
+      if (i % 2 == 0) {
+        const CountedMessage m{i};
+        link.send(m);
+      } else {
+        link.send(CountedMessage{i});
+      }
+    });
+  }
+  sim.run();
+
+  util::Rng model{17};
+  double last = 0.0;
+  std::vector<Delivery> want;
+  for (int i = 0; i < kSends; ++i) {
+    if (model.bernoulli(params.loss)) continue;
+    const double at = std::max(
+        send_time(i) + model.uniform(params.delay_min, params.delay_max),
+        last + 1e-9);
+    last = at;
+    want.push_back({i, at, i % 2 == 0 ? 1 : 0});
+  }
+  ASSERT_GT(want.size(), 200u);
+  ASSERT_LT(want.size(), 380u);  // the lossy path ran
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].id, want[k].id) << k;
+    EXPECT_EQ(got[k].time, want[k].time) << k;
+    EXPECT_EQ(got[k].copies, want[k].copies) << "message " << got[k].id;
+  }
+  EXPECT_EQ(link.delivered(), want.size());
+  EXPECT_EQ(link.dropped(), kSends - want.size());
 }
 
 // ------------------------------------------------------- whole system ----

@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <filesystem>
 
+#include "check/run_record.hpp"
 #include "swarm/swarm.hpp"
+#include "wire/buffer.hpp"
 
 namespace rcm::swarm {
 namespace {
@@ -51,12 +53,23 @@ TEST(Swarm, FixedBatchCompletenessIsDecidedAndPinned) {
   options.seed = 1;
   options.runs = 100;
   std::string grid;
+  // Every run's digest, folded in run order: FNV-1a over each digest's 8
+  // little-endian bytes, chained from the default seed. A change that
+  // perturbs any run of the batch (inputs, displayed alerts or display
+  // times) moves the fold.
+  std::uint64_t fold = wire::Fnv1aHasher::kOffsetBasis;
+  std::uint64_t next_index = 0;
   const SwarmReport report =
-      run_swarm(options, [&](std::uint64_t, const RunCheck& chk) {
+      run_swarm(options, [&](std::uint64_t i, const RunCheck& chk) {
+        EXPECT_EQ(i, next_index++);
         const check::Verdict v = chk.report.complete;
         grid += v == check::Verdict::kHolds      ? 'H'
                 : v == check::Verdict::kViolated ? 'V'
                                                  : 'U';
+        std::uint8_t bytes[8];
+        for (int b = 0; b < 8; ++b)
+          bytes[b] = static_cast<std::uint8_t>(chk.digest >> (8 * b));
+        fold = check::fnv1a(bytes, fold);
         return true;
       });
   ASSERT_EQ(grid.size(), 100u);
@@ -68,6 +81,9 @@ TEST(Swarm, FixedBatchCompletenessIsDecidedAndPinned) {
       EXPECT_EQ(grid[i], search[i]) << "run " << i;
     }
   }
+  // Recorded from the buffered-digest implementation (encode the run,
+  // then hash the bytes); the streaming digest must reproduce it.
+  EXPECT_EQ(fold, 0x24934af6b3ce0cd3ULL);
 }
 
 TEST(Swarm, SampleSpecIsPureFunctionOfSeedAndIndex) {
