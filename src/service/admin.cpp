@@ -1,7 +1,5 @@
 #include "service/admin.hpp"
 
-#include <algorithm>
-
 #include "wire/buffer.hpp"
 
 namespace rcm::service {
@@ -9,6 +7,10 @@ namespace {
 
 constexpr std::uint8_t kOk = 0x4f;     // 'O'
 constexpr std::uint8_t kError = 0x45;  // 'E'
+
+// The retired kShardMap byte (see AdminCommand): decoded like a command
+// from a newer peer, never dispatched.
+constexpr std::uint8_t kRetiredShardMapCommand = 8;
 
 // Bulk response bodies (metrics snapshots, trace dumps) must still fit
 // in one CRC frame (wire::kMaxFramePayload, 1 MiB) together with the
@@ -114,38 +116,6 @@ void decode_sessions_ext(std::span<const std::uint8_t> payload,
   r.expect_done();
 }
 
-// Owned-variable lists ride the same bounded-extension scheme as
-// sessions: cap the encoded list, always report the true total.
-constexpr std::size_t kShardExtMaxOwned = 512;
-
-std::vector<std::uint8_t> encode_shard_ext(const ShardStatus& s) {
-  wire::Writer w;
-  w.varint(s.shard_id);
-  w.varint(s.epoch);
-  w.varint(s.total_owned != 0 ? s.total_owned : s.owned.size());
-  const std::size_t count = std::min(s.owned.size(), kShardExtMaxOwned);
-  w.varint(count);
-  for (std::size_t i = 0; i < count; ++i) w.varint(s.owned[i]);
-  return w.take();
-}
-
-void decode_shard_ext(std::span<const std::uint8_t> payload,
-                      ServiceStatus& s) {
-  wire::Reader r{payload};
-  ShardStatus st;
-  st.shard_id = static_cast<std::uint32_t>(r.varint());
-  st.epoch = r.varint();
-  st.total_owned = r.varint();
-  const std::uint64_t count = r.varint();
-  if (count > kShardExtMaxOwned)
-    throw wire::DecodeError("admin shard: owned count");
-  st.owned.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i)
-    st.owned.push_back(static_cast<VarId>(r.varint()));
-  r.expect_done();
-  s.shard = std::move(st);
-}
-
 wire::VersionHeader parse_version_ext(std::span<const std::uint8_t> payload,
                                       const char* format) {
   wire::Reader vr{payload};
@@ -208,7 +178,8 @@ AdminRequest decode_admin_request(std::span<const std::uint8_t> payload) {
         });
     r.expect_done();
   }
-  if (cmd > static_cast<std::uint8_t>(AdminCommand::kMetricsProm)) {
+  if (cmd > static_cast<std::uint8_t>(AdminCommand::kMetricsProm) ||
+      cmd == kRetiredShardMapCommand) {
     // A version-declaring peer with a compatible major gets a structured
     // unsupported reply from the dispatcher; a legacy (version-less)
     // peer keeps the v1 contract.
@@ -252,12 +223,6 @@ std::vector<std::uint8_t> encode_admin_response(const AdminResponse& resp) {
     ext.payload = encode_sessions_ext(*resp.status);
     exts.push_back(std::move(ext));
   }
-  if (resp.status && resp.status->shard) {
-    wire::Extension ext;
-    ext.tag = kAdminShardExtTag;
-    ext.payload = encode_shard_ext(*resp.status->shard);
-    exts.push_back(std::move(ext));
-  }
   if (!exts.empty()) wire::encode_extension_section(w, exts);
   return w.take();
 }
@@ -288,11 +253,6 @@ AdminResponse decode_admin_response(std::span<const std::uint8_t> payload) {
             // Session entries attach to the status block; a session
             // extension without one has nothing to attach to.
             if (resp.status) decode_sessions_ext(ext, *resp.status);
-            return;
-          }
-          if (tag == kAdminShardExtTag) {
-            // Shard identity attaches to the status block too.
-            if (resp.status) decode_shard_ext(ext, *resp.status);
             return;
           }
           if (tag != kAdminUnsupportedExtTag) return;  // skip unknown tags

@@ -40,7 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "core/types.hpp"
 #include "wire/version.hpp"
 
 namespace rcm::service {
@@ -48,7 +47,8 @@ namespace rcm::service {
 /// Admin protocol version spoken by this binary; v1 is the pre-extension
 /// protocol (no version tag on requests, no response extensions). 2.1
 /// added kSessions and the per-session status response extension; 2.2
-/// added kShardMap and the shard identity status extension; 2.3 added
+/// added kShardMap and the shard identity status extension, both since
+/// retired with the shard tier (see AdminCommand); 2.3 added
 /// kHealth/kMetricsProm and the request scope extension.
 inline constexpr wire::VersionHeader kAdminVersion{2, 3};
 inline constexpr std::uint8_t kAdminMinMajor = 1;
@@ -58,10 +58,15 @@ inline constexpr std::uint8_t kAdminMaxMajor = 2;
 inline constexpr std::uint8_t kAdminVersionExtTag = 0x56;      // 'V'
 inline constexpr std::uint8_t kAdminUnsupportedExtTag = 0x55;  // 'U'
 inline constexpr std::uint8_t kAdminSessionsExtTag = 0x53;     // 'S'
-inline constexpr std::uint8_t kAdminShardExtTag = 0x48;        // 'H'
 inline constexpr std::uint8_t kAdminScopeExtTag = 0x43;        // 'C'
+// 0x48 ('H') carried the retired shard identity status extension; a
+// status response from an older sharded server still decodes because
+// the tag is skipped as unknown. Never reuse it.
 
-/// Admin commands, in wire order.
+/// Admin commands, in wire order. Byte 8 was kShardMap (2.2–2.3), retired
+/// with the shard tier: a version-declaring peer that sends it gets the
+/// structured `unsupported` reply, like any command this binary does not
+/// know. Never reuse it.
 enum class AdminCommand : std::uint8_t {
   kStatus = 0,      ///< report ServiceStatus
   kKill = 1,        ///< crash replica `replica` (loses volatile state)
@@ -71,16 +76,14 @@ enum class AdminCommand : std::uint8_t {
   kMetrics = 5,     ///< live obs::registry().snapshot_json() in `body`
   kTraceDump = 6,   ///< Chrome trace_event JSON export in `body`
   kSessions = 7,    ///< per-session cursor/lag/backlog JSON in `body`
-  kShardMap = 8,    ///< versioned wire::ShardMap bytes in `body`
   kHealth = 9,      ///< cluster health JSON in `body` (see scope)
   kMetricsProm = 10, ///< Prometheus text exposition in `body`
 };
 
-/// Breadth of a kHealth request. A cluster-scoped request makes the
-/// serving instance scrape every peer and aggregate; an instance-scoped
-/// request returns only the serving instance's own document. The
-/// aggregator fans out instance-scoped requests, so scraping can never
-/// recurse.
+/// Breadth of a kHealth request. A cluster-scoped request returns the
+/// aggregate JSON document (today over the serving instance alone); an
+/// instance-scoped request returns the serving instance's own binary
+/// wire::InstanceHealth document.
 enum class HealthScope : std::uint8_t {
   kCluster = 0,
   kInstance = 1,
@@ -133,18 +136,6 @@ struct SessionStatus {
   bool evicted = false;
 };
 
-/// Shard identity of a sharded service instance (rides a skippable
-/// response extension; absent from unsharded services and pre-2.2
-/// servers). `owned` is the ascending set of condition variables this
-/// shard currently serves — bounded in the encoding, with `total_owned`
-/// always reporting the real count.
-struct ShardStatus {
-  std::uint32_t shard_id = 0;
-  std::uint64_t epoch = 0;  ///< shard-map epoch the instance serves
-  std::vector<VarId> owned;
-  std::uint64_t total_owned = 0;
-};
-
 /// Whole-service status report.
 struct ServiceStatus {
   std::uint64_t ingested_datagrams = 0;
@@ -160,8 +151,6 @@ struct ServiceStatus {
   /// total_sessions always reports the real count.
   std::vector<SessionStatus> sessions;
   std::uint64_t total_sessions = 0;
-  /// Shard identity (2.2+ sharded servers only).
-  std::optional<ShardStatus> shard;
 };
 
 /// Structured "I don't speak that" reply block: the server's version
@@ -172,7 +161,10 @@ struct AdminUnsupported {
   wire::VersionHeader server_version{1, 0};
   std::uint8_t min_major = 1;    ///< majors the server accepts
   std::uint8_t max_major = 1;
-  std::uint8_t max_command = 0;  ///< highest command byte the server knows
+  /// Highest command byte the server knows. An upper bound, not a
+  /// range: bytes below it can be holes (8 is retired), so a client
+  /// still has to handle an `unsupported` reply for those.
+  std::uint8_t max_command = 0;
 };
 
 /// One admin response. `status` is present for kStatus requests; `body`

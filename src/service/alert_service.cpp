@@ -8,8 +8,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
-#include "service/shard_cluster.hpp"  // kMergeShardId for the health role
-#include "service/shard_ring.hpp"  // kDefaultVnodes for the trivial map
 #include "obs/trace.hpp"
 #include "wire/buffer.hpp"
 #include "wire/frame.hpp"
@@ -27,10 +25,6 @@ constexpr std::uint64_t kWatchdogEvery = 100;
 // trace-dump bodies ride in one admin response frame; leave headroom
 // under wire::kMaxFramePayload (1 MiB) for the response envelope.
 constexpr std::size_t kTraceDumpBudget = 900u * 1024;
-
-// Peer scrapes during cluster health aggregation; an instance that
-// cannot answer within this window is reported unreachable.
-constexpr std::chrono::milliseconds kHealthScrapeTimeout{500};
 
 std::uint64_t steady_now_ns() {
   return static_cast<std::uint64_t>(
@@ -251,8 +245,6 @@ void AlertService::worker_loop(std::size_t index,
     slot.checkpoints.store(0, std::memory_order_relaxed);
     if (!socket) socket = std::make_unique<net::UdpSocket>(slot.port);
 
-    const bool is_merge =
-        config_.shard && config_.shard->shard_id == kMergeShardId;
     wire::FrameCursor cursor;
     while (!ctl->stop.load(std::memory_order_acquire)) {
       slot.heartbeat_ns.store(steady_now_ns(), std::memory_order_relaxed);
@@ -284,28 +276,9 @@ void AlertService::worker_loop(std::size_t index,
         obs::trace::ContextScope tscope{msg.trace};
         RCM_TRACE_SPAN(ingest_span, "service.ingest");
         ingest_span.var(msg.update.var).seq(msg.update.seqno);
-        // The cross-shard hop lands here: a span distinct from plain
-        // ingest so traces show shard.forward → merge.ingest pairs
-        // covering the merge tier's WAL + CE work for the update.
-        std::optional<obs::trace::Span> merge_span;
-        if (is_merge) {
-          merge_span.emplace("merge.ingest");
-          merge_span->var(msg.update.var).seq(msg.update.seqno);
-          RCM_COUNT("service.merge.ingested");
-        }
-        // Decide acceptance up front so the on_accept hook (shard →
-        // merge-tier forwarding) fires only for updates that were
-        // journaled + applied, and only after they durably were.
-        const bool will_accept =
-            config_.on_accept &&
-            replica.evaluator().would_accept(msg.update);
         if (auto alert = replica.on_update(msg.update)) {
           RCM_COUNT("service.alerts.raised");
           alert_queue_.push(std::move(*alert));
-        }
-        if (will_accept) {
-          RCM_COUNT("service.shard.forwarded");
-          config_.on_accept(msg.update);
         }
       }
       slot.accepted.store(replica.accepted_live(), std::memory_order_relaxed);
@@ -369,10 +342,9 @@ void AlertService::admin_loop() {
   while (!stopping_.load(std::memory_order_acquire)) {
     auto conn = admin_listener_.accept(kAcceptPoll);
     if (!conn) continue;
-    // One thread per connection: a cluster-health aggregation held open
-    // by one client must not block a peer's instance-scoped scrape of
-    // this same instance. Threads exit on EOF or stopping_; drain joins
-    // whatever is left.
+    // One thread per connection: a client holding its connection open
+    // must not block another client's exchange. Threads exit on EOF or
+    // stopping_; drain joins whatever is left.
     std::lock_guard g{admin_conns_mutex_};
     admin_conn_threads_.emplace_back(
         [this, c = std::make_shared<net::TcpStream>(std::move(*conn))] {
@@ -418,8 +390,9 @@ AdminResponse AlertService::dispatch_admin(
   try {
     const AdminRequest req = decode_admin_request(payload);
     if (!req.known) {
-      // A versioned peer sent a command newer than this binary: tell it
-      // what we do speak instead of killing the exchange.
+      // A versioned peer sent a command this binary does not know (a
+      // newer one, or the retired byte 8): tell it what we do speak
+      // instead of killing the exchange.
       resp.ok = false;
       resp.error = "unsupported admin command " +
                    std::to_string(static_cast<unsigned>(req.raw_command));
@@ -455,22 +428,10 @@ AdminResponse AlertService::dispatch_admin(
       case AdminCommand::kSessions:
         resp.body = sessions_json();
         break;
-      case AdminCommand::kShardMap: {
-        // Binary-safe: the map bytes ride the length-prefixed body
-        // string. An unsharded service serves a trivial one-shard map so
-        // a router pointed at any instance always resolves.
-        const wire::ShardMap map = config_.shard_map_provider
-                                       ? config_.shard_map_provider()
-                                       : default_shard_map();
-        const auto bytes = wire::encode_shard_map(map);
-        resp.body = std::string(bytes.begin(), bytes.end());
-        break;
-      }
       case AdminCommand::kHealth: {
         if (req.scope == HealthScope::kInstance) {
-          // Binary InstanceHealth in the body, same convention as the
-          // shard map: an aggregator decodes it, a human asks for the
-          // cluster scope instead.
+          // Binary InstanceHealth in the length-prefixed body string: a
+          // scraper decodes it, a human asks for the cluster scope.
           const auto bytes = wire::encode_instance_health(instance_health());
           resp.body = std::string(bytes.begin(), bytes.end());
         } else {
@@ -522,14 +483,8 @@ std::string AlertService::sessions_json() const {
     return out;
   };
   std::string out = "{\"log_end\": " +
-                    std::to_string(sessions_->log_end());
-  if (config_.shard) {
-    // Every session on this instance is attached to this shard; name it
-    // so fleet tooling can aggregate per-shard subscriber state.
-    out += ", \"shard\": " + std::to_string(config_.shard->shard_id) +
-           ", \"shard_epoch\": " + std::to_string(config_.shard->epoch);
-  }
-  out += ", \"sessions\": [";
+                    std::to_string(sessions_->log_end()) +
+                    ", \"sessions\": [";
   bool first = true;
   for (const SessionInfo& info : sessions_->sessions()) {
     if (!first) out += ", ";
@@ -544,17 +499,6 @@ std::string AlertService::sessions_json() const {
   }
   out += "]}\n";
   return out;
-}
-
-wire::ShardMap AlertService::default_shard_map() const {
-  wire::ShardMap map;
-  map.epoch = 0;
-  wire::ShardMapEntry entry;
-  entry.shard_id = config_.shard ? config_.shard->shard_id : 0;
-  entry.vnodes = kDefaultVnodes;
-  entry.replica_ports = replica_ports();
-  map.shards.push_back(std::move(entry));
-  return map;
 }
 
 ServiceStatus AlertService::status() {
@@ -586,14 +530,6 @@ ServiceStatus AlertService::status() {
   {
     std::lock_guard g{ends_mutex_};
     s.dm_ends = dm_ends_.size();
-  }
-  if (config_.shard) {
-    ShardStatus st;
-    st.shard_id = config_.shard->shard_id;
-    st.epoch = config_.shard->epoch;
-    st.owned = config_.condition->variables();
-    st.total_owned = st.owned.size();
-    s.shard = std::move(st);
   }
   std::lock_guard g{lifecycle_mutex_};
   for (const auto& slot : slots_) {
@@ -681,15 +617,7 @@ std::vector<wire::Degradation> AlertService::collect_degradations() {
 
 wire::InstanceHealth AlertService::instance_health() {
   wire::InstanceHealth h;
-  if (!config_.shard) {
-    h.role = wire::InstanceRole::kStandalone;
-  } else {
-    h.role = config_.shard->shard_id == kMergeShardId
-                 ? wire::InstanceRole::kMerge
-                 : wire::InstanceRole::kShard;
-    h.shard_id = config_.shard->shard_id;
-    h.epoch = config_.shard->epoch;
-  }
+  h.role = wire::InstanceRole::kStandalone;
   h.uptime_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - started_at_)
@@ -723,8 +651,7 @@ wire::InstanceHealth AlertService::instance_health() {
   // stable across builds.
   static constexpr const char* kRateNames[] = {
       "service.ingest.datagrams", "service.wal.appends",
-      "service.alerts.raised", "service.alerts.displayed",
-      "service.shard.forwarded"};
+      "service.alerts.raised", "service.alerts.displayed"};
   for (const char* name : kRateNames) {
     wire::RateSample r;
     r.name = name;
@@ -739,24 +666,8 @@ wire::InstanceHealth AlertService::instance_health() {
 }
 
 std::string AlertService::cluster_health_json() {
-  const std::vector<std::uint16_t> endpoints =
-      config_.health_endpoints_provider
-          ? config_.health_endpoints_provider()
-          : std::vector<std::uint16_t>{admin_port()};
-  std::vector<ScrapedInstance> scraped;
-  scraped.reserve(endpoints.size());
-  for (const std::uint16_t port : endpoints) {
-    if (port == admin_port()) {
-      // Self-scrape is served directly: going through our own admin
-      // socket from inside an admin handler would be pointless TCP at
-      // best and a deadlock risk at worst.
-      scraped.emplace_back(port, instance_health());
-    } else {
-      scraped.emplace_back(port,
-                           scrape_instance_health(port, kHealthScrapeTimeout));
-    }
-  }
-  return aggregate_health_json(scraped);
+  const ScrapedInstance self{admin_port(), instance_health()};
+  return aggregate_health_json({&self, 1});
 }
 
 // ---- drain -------------------------------------------------------------

@@ -40,8 +40,6 @@
 #include <thread>
 #include <vector>
 
-#include <functional>
-
 #include "core/condition.hpp"
 #include "core/displayer.hpp"
 #include "core/filters.hpp"
@@ -54,17 +52,8 @@
 #include "service/supervisor.hpp"
 #include "wire/codec.hpp"
 #include "wire/health.hpp"
-#include "wire/shard.hpp"
 
 namespace rcm::service {
-
-/// Shard identity of a service instance hosted by a ShardedCluster
-/// (service/shard_cluster.hpp). Purely descriptive at this layer: it
-/// rides the kStatus response and names the shard in sessions output.
-struct ShardIdentity {
-  std::uint32_t shard_id = 0;
-  std::uint64_t epoch = 0;  ///< shard-map epoch this instance was built for
-};
 
 /// Configuration of one alert service instance.
 struct ServiceConfig {
@@ -75,26 +64,6 @@ struct ServiceConfig {
 
   std::size_t checkpoint_every = 256;  ///< see DurabilityOptions
   bool record_journal = false;         ///< see DurabilityOptions
-
-  /// Set on instances hosted by a ShardedCluster; reported in status.
-  std::optional<ShardIdentity> shard;
-
-  /// Called from the replica worker thread for every update the replica
-  /// accepts (after the WAL append + evaluator transition). Shard
-  /// instances use this to forward accepted updates to the merge tier.
-  /// Must be cheap and must not throw.
-  std::function<void(const Update&)> on_accept;
-
-  /// Serves the admin kShardMap command. A ShardedCluster installs the
-  /// live cluster map; when unset, an unsharded service answers with a
-  /// trivial one-shard map covering all of its replica ports (so a
-  /// router pointed at any service always resolves).
-  std::function<wire::ShardMap()> shard_map_provider;
-
-  /// Admin ports of every instance in the cluster (including this one),
-  /// for cluster-scoped admin kHealth aggregation. A ShardedCluster
-  /// installs the live list; when unset, the cluster is this instance.
-  std::function<std::vector<std::uint16_t>()> health_endpoints_provider;
 
   /// Stall-watchdog budgets (service/health.hpp). Degradations surface
   /// in the instance health document and through the dogfooded
@@ -253,13 +222,12 @@ class AlertService {
   [[nodiscard]] AdminResponse dispatch_admin(
       std::span<const std::uint8_t> payload);
   [[nodiscard]] std::string sessions_json() const;
-  [[nodiscard]] wire::ShardMap default_shard_map() const;
   void monitor_loop();
   /// Evaluates the stall-watchdog policy now (replica/session/AD
   /// heartbeats, WAL p99) and returns the active degradations.
   [[nodiscard]] std::vector<wire::Degradation> collect_degradations();
-  /// Serves the cluster-scoped admin kHealth command: scrapes every
-  /// health endpoint (itself directly, peers over TCP) and aggregates.
+  /// Serves the cluster-scoped admin kHealth command: the aggregate
+  /// document over the one instance this service is.
   [[nodiscard]] std::string cluster_health_json();
 
   /// Starts a new incarnation of replica `i`. Caller holds lifecycle_mutex_.
@@ -289,9 +257,9 @@ class AlertService {
   std::unique_ptr<SessionManager> sessions_;
 
   net::TcpListener admin_listener_;
-  /// Admin connections are served one thread each, so an instance can
-  /// answer a peer's health scrape while serving a long exchange (and an
-  /// aggregating instance never deadlocks against its own admin port).
+  /// Admin connections are served one thread each, so a client holding
+  /// a connection open never delays another client's exchange (a health
+  /// scrape, a kill).
   std::mutex admin_conns_mutex_;
   std::vector<std::thread> admin_conn_threads_;
 

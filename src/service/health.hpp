@@ -4,11 +4,11 @@
 //
 // The shape follows FoundationDB's `status json`: every instance can
 // answer an instance-scoped admin kHealth request with its own versioned
-// wire::InstanceHealth document; any instance can answer a
-// cluster-scoped one by scraping every peer (including itself — served
-// directly, not over TCP, so aggregation can never deadlock on the
-// instance's own admin socket) and merging the documents into one JSON
-// cluster document with a top-level healthy verdict.
+// wire::InstanceHealth document, and a cluster-scoped one with the
+// aggregate JSON document over the instances it knows — today only
+// itself — with a top-level healthy verdict. scrape_instance_health
+// fetches an instance-scoped document over TCP (the fuzz health oracle
+// uses it).
 //
 // Dogfooding: the healthy/unhealthy verdict and the watchdog's degraded
 // alert both run through expr::compile_condition + ConditionEvaluator —

@@ -3,11 +3,6 @@
 //   rcm_service --replicas 3 --filter AD-4 --data-dir /tmp/rcm
 //               --condition threshold --param 60     (one line)
 //
-// With --shards N it hosts a sharded deployment instead: N shard
-// instances behind a consistent-hash ring plus — for multi-variable
-// conditions — a merge tier that evaluates the global condition (see
-// docs/SERVICE.md, "Sharding & resharding").
-//
 // Prints the ingest / subscriber / admin endpoints, then runs until an
 // admin drain request arrives (rcm_service_client --cmd drain) or the
 // optional --duration budget expires. Exit codes: 0 = drained cleanly,
@@ -15,17 +10,13 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
-#include <string>
-#include <thread>
-
 #include <memory>
-#include <optional>
+#include <string>
 
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "service/alert_service.hpp"
 #include "service/health.hpp"
-#include "service/shard_cluster.hpp"
 #include "swarm/spec.hpp"
 #include "util/args.hpp"
 
@@ -69,12 +60,6 @@ int main(int argc, char** argv) {
   args.add_flag("no-tracing", "false",
                 "disable rcm::obs::trace span recording (admin trace-dump "
                 "will be empty)");
-  args.add_flag("shards", "0",
-                "host a sharded deployment with N shard instances "
-                "(0 = single unsharded service)");
-  args.add_flag("merge-replicas", "1",
-                "CE replicas in the merge tier (multi-variable "
-                "conditions with --shards only)");
   args.add_flag("prom-port", "-1",
                 "serve Prometheus text exposition (GET /metrics) on this "
                 "loopback TCP port (0 = ephemeral, -1 = off)");
@@ -108,75 +93,6 @@ int main(int argc, char** argv) {
       prom->start();
       std::printf("  prometheus:       http://127.0.0.1:%u/metrics\n",
                   prom->port());
-    }
-
-    const int num_shards = args.get_int("shards");
-    if (num_shards > 0) {
-      service::ShardClusterConfig config;
-      config.condition = swarm::build_condition(
-          parse_condition_kind(args.get("condition")),
-          args.get_double("param"));
-      config.num_shards = static_cast<std::size_t>(num_shards);
-      config.replicas_per_shard =
-          static_cast<std::size_t>(args.get_int("replicas"));
-      config.merge_replicas =
-          static_cast<std::size_t>(args.get_int("merge-replicas"));
-      config.filter = parse_filter_kind(args.get("filter"));
-      config.data_dir = args.get("data-dir");
-      config.checkpoint_every =
-          static_cast<std::size_t>(args.get_int("checkpoint-every"));
-      config.record_journal = args.get_bool("journal");
-      config.auto_restart = !args.get_bool("no-auto-restart");
-      if (config.data_dir.empty()) {
-        std::fprintf(stderr, "--data-dir is required\n");
-        return 2;
-      }
-
-      service::ShardedCluster cluster{std::move(config)};
-      const wire::ShardMap map = cluster.shard_map();
-      std::printf("rcm_service: %zu shard(s), filter %s, map epoch %llu\n",
-                  cluster.config().num_shards,
-                  std::string(filter_kind_name(cluster.config().filter))
-                      .c_str(),
-                  static_cast<unsigned long long>(map.epoch));
-      for (const wire::ShardMapEntry& entry : map.shards) {
-        service::AlertService& svc = cluster.shard(entry.shard_id);
-        std::printf("  shard %u:\n", entry.shard_id);
-        for (std::size_t i = 0; i < entry.replica_ports.size(); ++i)
-          std::printf("    replica %zu ingest: udp 127.0.0.1:%u\n", i,
-                      entry.replica_ports[i]);
-        std::printf("    subscribers:      tcp 127.0.0.1:%u\n",
-                    svc.subscriber_port());
-        std::printf("    admin:            tcp 127.0.0.1:%u\n",
-                    svc.admin_port());
-      }
-      if (service::AlertService* merge = cluster.merge()) {
-        std::printf("  merge tier:\n");
-        for (std::size_t i = 0; i < merge->config().num_replicas; ++i)
-          std::printf("    replica %zu ingest: udp 127.0.0.1:%u\n", i,
-                      merge->replica_port(i));
-        std::printf("    subscribers:      tcp 127.0.0.1:%u\n",
-                    merge->subscriber_port());
-        std::printf("    admin:            tcp 127.0.0.1:%u\n",
-                    merge->admin_port());
-      }
-      std::fflush(stdout);
-
-      const double duration = args.get_double("duration");
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::milliseconds{
-              static_cast<long long>(duration * 1000.0)};
-      while (!cluster.drain_requested()) {
-        if (duration > 0 && std::chrono::steady_clock::now() >= deadline)
-          break;
-        std::this_thread::sleep_for(std::chrono::milliseconds{200});
-      }
-      cluster.drain();
-      const service::ServiceStatus s = cluster.evaluating_service().status();
-      std::printf("rcm_service: drained (%llu alerts displayed)\n",
-                  static_cast<unsigned long long>(s.displayed));
-      return 0;
     }
 
     service::ServiceConfig config;

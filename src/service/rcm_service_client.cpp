@@ -13,7 +13,6 @@
 //   rcm_service_client --cmd subscribe --sub-port P --session worker-3 \
 //                      [--from 17]
 //   rcm_service_client --cmd sessions --admin-port P
-//   rcm_service_client --cmd shardmap --admin-port P [--json]
 //   rcm_service_client --cmd health   --admin-port P [--instance]
 //   rcm_service_client --cmd metrics-prom --admin-port P [--out m.prom]
 //
@@ -56,7 +55,6 @@
 #include "wire/codec.hpp"
 #include "wire/frame.hpp"
 #include "wire/session.hpp"
-#include "wire/shard.hpp"
 
 namespace {
 
@@ -111,23 +109,6 @@ void print_status(const service::ServiceStatus& s) {
                 static_cast<unsigned long long>(r.checkpoints),
                 static_cast<unsigned long long>(r.recovered_wal));
   }
-  if (s.shard) {
-    std::printf("shard %u (map epoch %llu): %llu owned variable(s)",
-                s.shard->shard_id,
-                static_cast<unsigned long long>(s.shard->epoch),
-                static_cast<unsigned long long>(s.shard->total_owned));
-    if (!s.shard->owned.empty()) {
-      std::printf(" [");
-      for (std::size_t i = 0; i < s.shard->owned.size(); ++i)
-        std::printf("%s%u", i == 0 ? "" : ", ", s.shard->owned[i]);
-      std::printf("%s]",
-                  s.shard->owned.size() <
-                          static_cast<std::size_t>(s.shard->total_owned)
-                      ? ", ..."
-                      : "");
-    }
-    std::printf("\n");
-  }
   if (s.total_sessions > 0) {
     std::printf("sessions: %llu%s\n",
                 static_cast<unsigned long long>(s.total_sessions),
@@ -171,20 +152,7 @@ void print_status_json(const service::ServiceStatus& s,
                 static_cast<unsigned long long>(r.checkpoints),
                 static_cast<unsigned long long>(r.recovered_wal));
   }
-  std::printf("], \"shard\": ");
-  if (s.shard) {
-    std::printf("{\"shard_id\": %u, \"epoch\": %llu, "
-                "\"total_owned\": %llu, \"owned\": [",
-                s.shard->shard_id,
-                static_cast<unsigned long long>(s.shard->epoch),
-                static_cast<unsigned long long>(s.shard->total_owned));
-    for (std::size_t i = 0; i < s.shard->owned.size(); ++i)
-      std::printf("%s%u", i == 0 ? "" : ", ", s.shard->owned[i]);
-    std::printf("]}");
-  } else {
-    std::printf("null");
-  }
-  std::printf(", \"total_sessions\": %llu, \"sessions\": [",
+  std::printf("], \"total_sessions\": %llu, \"sessions\": [",
               static_cast<unsigned long long>(s.total_sessions));
   for (std::size_t i = 0; i < s.sessions.size(); ++i) {
     const service::SessionStatus& e = s.sessions[i];
@@ -302,49 +270,6 @@ int run_health(std::uint16_t port, bool instance) {
     std::printf("%s\n", service::instance_health_json(doc).c_str());
   } else {
     std::printf("%s\n", resp.body->c_str());
-  }
-  return 0;
-}
-
-// Fetches + decodes the versioned shard map (admin v2.2 `shardmap`).
-// Unsharded services answer with a synthetic one-entry map (epoch 0).
-int run_shardmap(std::uint16_t port, bool json) {
-  service::AdminRequest req;
-  req.command = service::AdminCommand::kShardMap;
-  const service::AdminResponse resp = admin_exchange(port, req);
-  if (!resp.ok) {
-    std::fprintf(stderr, "service error: %s\n", resp.error.c_str());
-    return 1;
-  }
-  if (!resp.body) {
-    std::fprintf(stderr, "service returned no shard map body\n");
-    return 1;
-  }
-  const wire::ShardMap map = wire::decode_shard_map(std::span{
-      reinterpret_cast<const std::uint8_t*>(resp.body->data()),
-      resp.body->size()});
-  if (json) {
-    std::printf("{\"epoch\": %llu, \"shards\": [",
-                static_cast<unsigned long long>(map.epoch));
-    for (std::size_t i = 0; i < map.shards.size(); ++i) {
-      const wire::ShardMapEntry& e = map.shards[i];
-      std::printf("%s{\"shard_id\": %u, \"vnodes\": %u, "
-                  "\"replica_ports\": [",
-                  i == 0 ? "" : ", ", e.shard_id, e.vnodes);
-      for (std::size_t j = 0; j < e.replica_ports.size(); ++j)
-        std::printf("%s%u", j == 0 ? "" : ", ", e.replica_ports[j]);
-      std::printf("]}");
-    }
-    std::printf("]}\n");
-    return 0;
-  }
-  std::printf("shard map epoch %llu, %zu shard(s)\n",
-              static_cast<unsigned long long>(map.epoch),
-              map.shards.size());
-  for (const wire::ShardMapEntry& e : map.shards) {
-    std::printf("  shard %u: %u vnode(s), ingest udp", e.shard_id, e.vnodes);
-    for (const std::uint16_t p : e.replica_ports) std::printf(" %u", p);
-    std::printf("\n");
   }
   return 0;
 }
@@ -497,7 +422,7 @@ int main(int argc, char** argv) {
   args.add_flag("cmd", "status",
                 "status | kill | restart | checkpoint | drain | metrics | "
                 "metrics-prom | trace-dump | feed | subscribe | sessions | "
-                "shardmap | health");
+                "health");
   args.add_flag("admin-port", "0", "service admin TCP port");
   args.add_flag("replica", "0", "target replica for kill/restart/checkpoint");
   args.add_flag("json", "false", "machine-readable status output");
@@ -572,7 +497,6 @@ int main(int argc, char** argv) {
     if (cmd == "sessions")
       return run_admin(service::AdminCommand::kSessions, admin_port, replica,
                        json, out);
-    if (cmd == "shardmap") return run_shardmap(admin_port, json);
     if (cmd == "health")
       return run_health(admin_port, args.get_bool("instance"));
     if (cmd == "metrics-prom")

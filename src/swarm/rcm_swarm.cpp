@@ -90,9 +90,6 @@ int main(int argc, char** argv) {
                 "duplicate resends (uses --runs, --seed, --scratch-dir)");
   args.add_flag("scratch-dir", "",
                 "service-fuzz scratch root (default: system temp)");
-  args.add_flag("sharded-fraction", "0.3",
-                "service-fuzz: fraction of runs against a sharded cluster "
-                "(2-3 shards + merge tier, mid-run reshard events)");
   args.add_flag("verbose", "false", "print a line per run");
 
   if (!args.parse(argc, argv)) {
@@ -115,7 +112,6 @@ int main(int argc, char** argv) {
       options.seed = static_cast<std::uint64_t>(args.get_int("seed"));
       options.runs = static_cast<std::size_t>(args.get_int("runs"));
       options.scratch_dir = args.get("scratch-dir");
-      options.sharded_fraction = args.get_double("sharded-fraction");
       options.verbose = args.get_bool("verbose");
       const swarm::ServiceFuzzReport report =
           swarm::run_service_fuzz(options);
@@ -140,10 +136,6 @@ int main(int argc, char** argv) {
                     report.subscriber_kills, report.session_truncations,
                     report.session_evictions, report.session_bad_cursors,
                     report.session_lag_alerts, report.service_reopens);
-        std::printf("  sharding: %zu sharded run(s) (%zu cross-shard), "
-                    "%zu reshard(s), %zu shard kill(s)\n",
-                    report.sharded_runs, report.cross_shard_runs,
-                    report.shard_reshards, report.shard_kills);
         std::printf("  health: %zu scrape(s), %zu kill(s) confirmed "
                     "degraded\n",
                     report.health_scrapes, report.health_degraded_seen);

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -17,8 +16,6 @@
 #include "service/alert_service.hpp"
 #include "service/durable_replica.hpp"
 #include "service/health.hpp"
-#include "service/shard_cluster.hpp"
-#include "service/shard_ring.hpp"
 #include "store/file_log.hpp"
 #include "swarm/fuzz_plan.hpp"
 #include "util/rng.hpp"
@@ -27,7 +24,6 @@
 #include "wire/frame.hpp"
 #include "wire/legacy.hpp"
 #include "wire/session.hpp"
-#include "wire/shard.hpp"
 #include "wire/snapshot.hpp"
 #include "wire/version.hpp"
 
@@ -340,17 +336,6 @@ void check_sessions(const std::vector<SubscriberLog>& logs,
 
 // ---- shared run machinery ---------------------------------------------
 
-/// Supervisor timing for every fuzzed instance, single or sharded: killed
-/// replicas come back within milliseconds and the monitor polls often, so
-/// short runs see whole kill/recover cycles.
-template <class Config>
-void set_fuzz_timing(Config& config) {
-  config.backoff.initial = std::chrono::milliseconds{1};
-  config.backoff.max = std::chrono::milliseconds{50};
-  config.backoff.reset_after = std::chrono::milliseconds{1};
-  config.poll_interval = std::chrono::milliseconds{5};
-}
-
 service::ServiceConfig make_config(const RunPlan& plan,
                                    const std::filesystem::path& data_dir) {
   service::ServiceConfig config;
@@ -361,7 +346,12 @@ service::ServiceConfig make_config(const RunPlan& plan,
   config.checkpoint_every = plan.checkpoint_every;
   config.record_journal = true;
   config.auto_restart = plan.auto_restart;
-  set_fuzz_timing(config);
+  // Killed replicas come back within milliseconds and the monitor polls
+  // often, so short runs see whole kill/recover cycles.
+  config.backoff.initial = std::chrono::milliseconds{1};
+  config.backoff.max = std::chrono::milliseconds{50};
+  config.backoff.reset_after = std::chrono::milliseconds{1};
+  config.poll_interval = std::chrono::milliseconds{5};
   return config;
 }
 
@@ -388,150 +378,6 @@ struct RunOutcome {
   std::string detail;  ///< verbose-line text after "run N"
   std::vector<std::string> violations;
 };
-
-// ---- sharded-cluster fuzz leg ------------------------------------------
-
-/// Feeder-side router rebuilt from the WIRE shard map exactly the way an
-/// external feeder would (encode → decode → ring from ids/vnodes), so the
-/// fuzz exercises the distributed-map path, not in-process shortcuts.
-struct MapRouter {
-  service::ShardRing ring{service::kDefaultVnodes};
-  std::map<std::uint32_t, std::vector<std::uint16_t>> ports;
-
-  void rebuild(const wire::ShardMap& map) {
-    ring = service::ShardRing{map.shards.empty()
-                                  ? service::kDefaultVnodes
-                                  : map.shards.front().vnodes};
-    ports.clear();
-    for (const wire::ShardMapEntry& e : map.shards) {
-      ring.add_shard(e.shard_id);
-      ports[e.shard_id] = e.replica_ports;
-    }
-  }
-};
-
-/// One sharded iteration: route the plan's feed through the shard map,
-/// fire the plan's kills at random shard/merge replicas, apply 0-2
-/// mid-run reshard events, then run the standard oracle over the union
-/// of every journal the cluster ever wrote (partial shards journal only
-/// their owned variables, so multi-shard runs classify as the condition's
-/// lossy row — exactly the paper cell a sharded front presents).
-RunOutcome run_sharded_iteration(const RunPlan& plan, util::Rng& rng,
-                                 const std::filesystem::path& data_dir,
-                                 ServiceFuzzReport& report) {
-  service::ShardClusterConfig config;
-  config.condition = build_condition(plan.choice.kind, plan.choice.param);
-  config.filter = plan.filter;
-  config.num_shards = static_cast<std::size_t>(rng.uniform_int(2, 3));
-  config.replicas_per_shard = plan.replicas > 1 ? 2 : 1;
-  config.merge_replicas = 1;
-  config.data_dir = data_dir;
-  config.checkpoint_every = plan.checkpoint_every;
-  config.record_journal = true;
-  // Reshard interplay with manual-restart schedules is not modelled:
-  // sharded runs always self-heal killed replicas.
-  config.auto_restart = true;
-  set_fuzz_timing(config);
-
-  service::ShardedCluster cluster{std::move(config)};
-  const bool cross_shard = cluster.cross_shard();
-
-  // 0-2 reshard events in the middle half of the feed, where updates are
-  // in flight on both sides of the handoff.
-  std::vector<std::size_t> reshard_steps;
-  const std::size_t n_reshards =
-      static_cast<std::size_t>(rng.uniform_int(0, 2));
-  const std::size_t lo = plan.feed.size() / 4;
-  const std::size_t span = std::max<std::size_t>(1, plan.feed.size() / 2);
-  for (std::size_t k = 0; k < n_reshards; ++k)
-    reshard_steps.push_back(lo + static_cast<std::size_t>(rng.uniform_int(
-                                     0, static_cast<std::int64_t>(span))));
-  std::sort(reshard_steps.begin(), reshard_steps.end());
-  std::uint32_t next_shard_id =
-      static_cast<std::uint32_t>(cluster.config().num_shards);
-
-  MapRouter router;
-  const auto refresh_router = [&] {
-    router.rebuild(wire::decode_shard_map(
-        wire::encode_shard_map(cluster.shard_map())));
-  };
-  refresh_router();
-
-  RunOutcome out;
-  net::UdpSocket feeder;
-  std::size_t next_kill = 0;
-  std::size_t next_reshard = 0;
-  std::size_t reshards = 0;
-  for (std::size_t step = 0; step < plan.feed.size(); ++step) {
-    while (next_reshard < reshard_steps.size() &&
-           reshard_steps[next_reshard] <= step) {
-      ++next_reshard;
-      const std::vector<std::uint32_t> ids = cluster.shard_ids();
-      if (ids.size() <= 1 || rng.bernoulli(0.5)) {
-        cluster.add_shard(next_shard_id++);
-      } else {
-        cluster.remove_shard(ids[static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(ids.size()) - 1))]);
-      }
-      ++reshards;
-      refresh_router();
-    }
-    while (next_kill < plan.kills.size() &&
-           plan.kills[next_kill].at_step == step) {
-      const KillEvent& e = plan.kills[next_kill++];
-      // Usually a shard replica, sometimes the merge tier itself (its
-      // downtime loses forwards — the same lossy front link).
-      service::AlertService* target = cluster.merge();
-      if (!target || !rng.bernoulli(0.25)) {
-        const std::vector<std::uint32_t> ids = cluster.shard_ids();
-        target = &cluster.shard(ids[static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1))]);
-      }
-      target->kill_replica(e.replica % target->config().num_replicas);
-      ++out.kills;
-    }
-    const Update& u = plan.feed[step];
-    const auto framed = wire::frame(wire::encode_update(u));
-    const auto& owner_ports = router.ports.at(router.ring.owner(u.var));
-    for (const std::uint16_t port : owner_ports)
-      feeder.try_send_to(port, framed);
-    if (plan.dup_prob > 0 && rng.bernoulli(plan.dup_prob))
-      feeder.try_send_to(
-          owner_ports[static_cast<std::size_t>(rng.uniform_int(
-              0, static_cast<std::int64_t>(owner_ports.size()) - 1))],
-          framed);
-  }
-
-  // ENDs go everywhere: each shard closes its DM streams, and the merge
-  // tier hears the ENDs directly (on_accept only forwards updates).
-  std::vector<std::uint16_t> end_ports;
-  for (const auto& [id, ports] : router.ports)
-    end_ports.insert(end_ports.end(), ports.begin(), ports.end());
-  if (service::AlertService* merge = cluster.merge())
-    for (const std::uint16_t port : merge->replica_ports())
-      end_ports.push_back(port);
-  deliver_ends(feeder, end_ports, condition_arity(plan.choice.kind),
-               cluster.evaluating_service());
-  (void)cluster.await_idle(std::chrono::milliseconds{60},
-                           std::chrono::milliseconds{5000});
-  cluster.drain();
-
-  const std::vector<Alert> displayed = cluster.displayed();
-  out.displayed = displayed.size();
-  out.violations =
-      check_service_run(plan, plan.feed, cluster.journals(), displayed,
-                        cluster.provenance(), out.kills,
-                        cluster.displayer_epochs());
-  ++report.sharded_runs;
-  if (cross_shard) ++report.cross_shard_runs;
-  report.shard_reshards += reshards;
-  report.shard_kills += out.kills;
-  out.detail = std::string(" (sharded") + (cross_shard ? ", cross-shard" : "") +
-               "): " + std::to_string(plan.feed.size()) + " updates, " +
-               std::to_string(out.kills) + " kill(s), " +
-               std::to_string(reshards) + " reshard(s)";
-  return out;
-}
 
 // ---- one service epoch -------------------------------------------------
 
@@ -1008,10 +854,9 @@ ServiceFuzzReport run_service_fuzz(const ServiceFuzzOptions& options) {
 
     const RunOutcome out =
         upgrade ? run_upgrade_iteration(plan, rng, data_dir, report)
-        : rng.bernoulli(options.sharded_fraction)
-            ? run_sharded_iteration(plan, rng, data_dir, report)
-            : run_crash_iteration(plan, rng, data_dir,
-                                  options.seed * 1000003 + i * 31, report);
+                : run_crash_iteration(plan, rng, data_dir,
+                                      options.seed * 1000003 + i * 31,
+                                      report);
 
     ++report.runs_executed;
     report.total_kills += out.kills;

@@ -99,14 +99,6 @@ struct ServiceFuzzOptions {
   /// directory is removed after a clean check, kept on violation.
   std::filesystem::path scratch_dir;
   bool verbose = false;
-  /// Crash mode: fraction of runs executed against a ShardedCluster (2-3
-  /// shards + merge tier) instead of a single service: feeds route
-  /// through the wire shard map, kills hit shard AND merge replicas, and
-  /// 0-2 mid-run reshard events (shard add/remove with durable handoff)
-  /// fire while updates are in flight. Sharded runs skip subscriber
-  /// faults — the evaluating instance can be retired by a reshard
-  /// mid-stream.
-  double sharded_fraction = 0.3;
 };
 
 struct ServiceFuzzViolation {
@@ -132,11 +124,6 @@ struct ServiceFuzzReport {
   std::size_t session_bad_cursors = 0;   ///< kBadCursor welcomes observed
   std::size_t session_lag_alerts = 0;    ///< dogfooded CE lag alerts fired
   std::size_t service_reopens = 0;       ///< cross-restart replay legs
-  // Sharded-cluster coverage (see ServiceFuzzOptions::sharded_fraction).
-  std::size_t sharded_runs = 0;
-  std::size_t cross_shard_runs = 0;      ///< degree >= 2 condition spanning shards
-  std::size_t shard_reshards = 0;        ///< mid-run add/remove events
-  std::size_t shard_kills = 0;           ///< replica kills inside sharded runs
   // Health-oracle coverage: the fuzzer scrapes the admin health document
   // around kill/recovery on manual-restart runs and asserts the watchdog
   // reported (then cleared) the replica-down degradation.

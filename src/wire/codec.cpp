@@ -17,6 +17,8 @@ constexpr std::size_t kMaxWindow = 4096;
 // they don't know, which is what makes the trace context deployable
 // next to old binaries.
 constexpr std::uint8_t kTraceExtTag = 0x54;  // 'T'
+// 0x5a ('Z') was the retired shard tier's shard-origin extension; it is
+// skipped like any unknown tag. Never reuse it.
 constexpr std::size_t kMaxExtensionLen = 256;
 
 // END-of-stream datagram payload prefix ("END"), followed by a varint DM

@@ -1,6 +1,5 @@
-// Versioned instance-health document — the unit the cluster health
-// aggregator scrapes from every shard and the merge tier over the admin
-// protocol (admin `health` command, PR 10).
+// Versioned instance-health document — what an instance-scoped admin
+// `health` request returns, and the unit the health aggregator merges.
 //
 // One InstanceHealth describes one service process-instance: its role in
 // the cluster, per-replica liveness + heartbeat ages, windowed ingest/
@@ -74,17 +73,19 @@ struct RateSample {
   friend bool operator==(const RateSample&, const RateSample&) = default;
 };
 
-/// The instance's place in the cluster topology.
+/// The instance's place in the topology. A current service always
+/// reports kStandalone; kShard/kMerge were written by the retired shard
+/// tier and still decode, so older documents stay readable.
 enum class InstanceRole : std::uint8_t {
-  kStandalone = 0,  // unsharded service
+  kStandalone = 0,
   kShard = 1,
   kMerge = 2,
 };
 
 struct InstanceHealth {
   InstanceRole role = InstanceRole::kStandalone;
-  std::uint32_t shard_id = 0;  // meaningful for kShard/kMerge
-  std::uint64_t epoch = 0;     // shard-map epoch (0 when unsharded)
+  std::uint32_t shard_id = 0;  // meaningful for kShard/kMerge only
+  std::uint64_t epoch = 0;     // shard-map epoch; 0 for kStandalone
   bool healthy = true;
   std::uint64_t uptime_ns = 0;
   std::uint64_t sessions = 0;

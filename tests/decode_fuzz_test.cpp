@@ -18,7 +18,6 @@
 #include "util/rng.hpp"
 #include "wire/codec.hpp"
 #include "wire/frame.hpp"
-#include "wire/shard.hpp"
 #include "wire/snapshot.hpp"
 #include "wire/version.hpp"
 
@@ -323,57 +322,6 @@ TEST(DecodeFuzz, AdminResponseWithUnsupportedBlock) {
         (void)service::decode_admin_response(b);
       },
       valid, 24);
-}
-
-TEST(DecodeFuzz, ShardMap) {
-  ShardMap m;
-  m.epoch = 9;
-  m.shards.push_back(ShardMapEntry{0, 32, {40001, 40002}});
-  m.shards.push_back(ShardMapEntry{1, 32, {40003}});
-  const auto valid = encode_shard_map(m);
-  fuzz_decoder(
-      [](const std::vector<std::uint8_t>& b) { (void)decode_shard_map(b); },
-      valid, 25);
-
-  // Future majors are a TYPED rejection, never a generic parse error.
-  for (std::uint8_t major : {2, 99, 255}) {
-    auto future = valid;
-    future[1] = major;
-    EXPECT_THROW((void)decode_shard_map(future), UnsupportedVersion);
-  }
-}
-
-TEST(DecodeFuzz, HandoffPacket) {
-  HandoffPacket p;
-  p.epoch = 3;
-  p.from = 0;
-  p.to = 2;
-  p.replica = 1;
-  HandoffEntry e;
-  e.var = 4;
-  e.watermark = 17;
-  e.window = {Update{4, 16, -1.25}, Update{4, 17, 8.5}};
-  p.entries.push_back(e);
-  const auto valid = encode_handoff(p);
-  fuzz_decoder(
-      [](const std::vector<std::uint8_t>& b) { (void)decode_handoff(b); },
-      valid, 26);
-
-  for (std::uint8_t major : {2, 99, 255}) {
-    auto future = valid;
-    future[1] = major;
-    EXPECT_THROW((void)decode_handoff(future), UnsupportedVersion);
-  }
-}
-
-TEST(DecodeFuzz, ShardOriginExtension) {
-  const auto valid = encode_update_from_shard({3, 21, 4.5}, 1, 6);
-  fuzz_decoder(
-      [](const std::vector<std::uint8_t>& b) {
-        ShardOrigin origin;
-        (void)decode_shard_origin(b, origin);
-      },
-      valid, 27);
 }
 
 TEST(DecodeFuzz, LogRecoveryNeverThrowsExceptOnFutureMajor) {

@@ -1,6 +1,6 @@
 // Cluster-wide health: the versioned InstanceHealth wire codec, the
 // time-series sampler's windowed rates, the stall watchdog's dogfooded
-// alert channel, shard-document aggregation (including unreachable
+// alert channel, health-document aggregation (including unreachable
 // peers), Prometheus text exposition, and the live admin kHealth /
 // kMetricsProm path against a real AlertService.
 #include <gtest/gtest.h>
@@ -387,7 +387,7 @@ TEST(AdminHealthTest, ClusterScopeReturnsAggregatedJson) {
   EXPECT_NE(resp.body->find(
                 "\"admin_port\": " + std::to_string(svc.admin_port())),
             std::string::npos)
-      << "an unsharded instance aggregates itself";
+      << "a cluster-scoped request aggregates the instance itself";
   svc.drain();
 }
 

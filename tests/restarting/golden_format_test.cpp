@@ -193,23 +193,6 @@ TEST(GoldenFormat, SwarmRecordReplaysWithMatchingDigest) {
   EXPECT_TRUE(result.violations_matched);
 }
 
-TEST(GoldenFormat, ShardMapDecodesToTheFrozenLayout) {
-  const auto bytes = fixture_bytes("shardmap.v1.bin");
-  EXPECT_EQ(wire::decode_shard_map(bytes), corpus_shard_map());
-  // Version header sanity: the fixture is v1 of a gated major.
-  ASSERT_GE(bytes.size(), 3u);
-  EXPECT_EQ(bytes[0], 0x4d);  // 'M'
-  EXPECT_EQ(bytes[1], wire::kShardMapVersion.major);
-}
-
-TEST(GoldenFormat, HandoffDecodesToTheFrozenState) {
-  const auto bytes = fixture_bytes("handoff.v1.bin");
-  EXPECT_EQ(wire::decode_handoff(bytes), corpus_handoff());
-  ASSERT_GE(bytes.size(), 3u);
-  EXPECT_EQ(bytes[0], 0x58);  // 'X'
-  EXPECT_EQ(bytes[1], wire::kHandoffVersion.major);
-}
-
 TEST(GoldenFormat, HealthRequestDecodesWithInstanceScope) {
   // The hand-written 2.3 health exchange: a request carrying both the
   // version extension and the non-default (instance) scope extension

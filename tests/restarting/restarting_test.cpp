@@ -337,27 +337,31 @@ TEST(Restarting, UnknownAdminCommandGetsStructuredUnsupportedReply) {
 
   net::TcpStream conn = net::TcpStream::connect(svc.admin_port());
 
-  // A "newer client" sends command 42 with its version declared. The
-  // server must answer with the structured unsupported block — and the
-  // connection must survive for the downgraded retry.
-  service::AdminRequest unknown;
-  unknown.known = false;
-  unknown.raw_command = 42;
-  const service::AdminResponse resp = admin_exchange(conn, unknown);
-  EXPECT_FALSE(resp.ok);
-  ASSERT_TRUE(resp.unsupported.has_value());
-  EXPECT_EQ(resp.unsupported->command, 42);
-  EXPECT_EQ(resp.unsupported->server_version, service::kAdminVersion);
-  EXPECT_EQ(resp.unsupported->min_major, service::kAdminMinMajor);
-  EXPECT_EQ(resp.unsupported->max_major, service::kAdminMaxMajor);
-  EXPECT_EQ(resp.unsupported->max_command,
-            static_cast<std::uint8_t>(service::AdminCommand::kMetricsProm));
+  // A "newer client" sends command 42 with its version declared, and an
+  // older one sends the retired kShardMap byte 8. The server must answer
+  // each with the structured unsupported block — and the connection must
+  // survive for the downgraded retry.
+  for (const std::uint8_t command : {std::uint8_t{42}, std::uint8_t{8}}) {
+    SCOPED_TRACE(static_cast<int>(command));
+    service::AdminRequest unknown;
+    unknown.known = false;
+    unknown.raw_command = command;
+    const service::AdminResponse resp = admin_exchange(conn, unknown);
+    EXPECT_FALSE(resp.ok);
+    ASSERT_TRUE(resp.unsupported.has_value());
+    EXPECT_EQ(resp.unsupported->command, command);
+    EXPECT_EQ(resp.unsupported->server_version, service::kAdminVersion);
+    EXPECT_EQ(resp.unsupported->min_major, service::kAdminMinMajor);
+    EXPECT_EQ(resp.unsupported->max_major, service::kAdminMaxMajor);
+    EXPECT_EQ(resp.unsupported->max_command,
+              static_cast<std::uint8_t>(service::AdminCommand::kMetricsProm));
 
-  const service::AdminResponse status = admin_exchange(
-      conn, service::AdminRequest{service::AdminCommand::kStatus, 0});
-  ASSERT_TRUE(status.ok);
-  ASSERT_TRUE(status.status.has_value());
-  EXPECT_EQ(status.status->replicas.size(), 1u);
+    const service::AdminResponse status = admin_exchange(
+        conn, service::AdminRequest{service::AdminCommand::kStatus, 0});
+    ASSERT_TRUE(status.ok);
+    ASSERT_TRUE(status.status.has_value());
+    EXPECT_EQ(status.status->replicas.size(), 1u);
+  }
 
   svc.drain();
   std::filesystem::remove_all(cfg.data_dir);

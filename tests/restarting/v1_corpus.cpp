@@ -10,7 +10,6 @@
 #include "wire/frame.hpp"
 #include "wire/legacy.hpp"
 #include "wire/session.hpp"
-#include "wire/shard.hpp"
 
 namespace rcm::testing {
 namespace {
@@ -112,48 +111,15 @@ std::vector<std::uint8_t> build_cursor_file_fixture() {
   return file;
 }
 
-std::vector<std::uint8_t> build_shard_map_fixture() {
-  // The v1 shard map the current encoder writes today. Once checked in,
-  // these bytes are frozen: any future layout change must go through a
-  // new major (or a skippable extension), never a silent rewrite.
-  return wire::encode_shard_map(corpus_shard_map());
-}
-
-std::vector<std::uint8_t> build_handoff_fixture() {
-  return wire::encode_handoff(corpus_handoff());
-}
-
 std::vector<std::uint8_t> build_health_fixture() {
   // v1 of the instance-health document the current encoder writes today
   // (rates use exactly-representable doubles so the f64 bytes are
-  // deterministic). Frozen like shardmap/handoff: layout changes go
-  // through a new major or a skippable extension.
+  // deterministic). Once checked in, these bytes are frozen: layout
+  // changes go through a new major or a skippable extension.
   return wire::encode_instance_health(corpus_instance_health());
 }
 
 }  // namespace
-
-wire::ShardMap corpus_shard_map() {
-  wire::ShardMap m;
-  m.epoch = 3;
-  m.shards.push_back(wire::ShardMapEntry{0, 32, {40001, 40002}});
-  m.shards.push_back(wire::ShardMapEntry{2, 32, {40003}});
-  return m;
-}
-
-wire::HandoffPacket corpus_handoff() {
-  wire::HandoffPacket p;
-  p.epoch = 3;
-  p.from = 1;
-  p.to = 2;
-  p.replica = 0;
-  wire::HandoffEntry e;
-  e.var = 0;
-  e.watermark = 9;
-  e.window = {Update{0, 8, 20.0}, Update{0, 9, 80.0}};
-  p.entries.push_back(e);
-  return p;
-}
 
 wire::InstanceHealth corpus_instance_health() {
   wire::InstanceHealth h;
@@ -204,8 +170,6 @@ std::vector<V1Fixture> build_v1_corpus() {
   corpus.push_back({"admin_response_ok.v1.bin", {0x4F, 0x00, 0x00, 0x00}});
   corpus.push_back({"swarm_record.v1.bin", build_swarm_record_fixture()});
   corpus.push_back({"cursors.v1.bin", build_cursor_file_fixture()});
-  corpus.push_back({"shardmap.v1.bin", build_shard_map_fixture()});
-  corpus.push_back({"handoff.v1.bin", build_handoff_fixture()});
   // A 2.3 peer's instance-scope health request, written by hand:
   // kHealth (9) | replica 0 | 2 extensions — version {2,3} under tag
   // 'V', scope kInstance (1) under tag 'C'.

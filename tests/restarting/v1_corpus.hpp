@@ -28,7 +28,6 @@
 #include "core/evaluator.hpp"
 #include "core/types.hpp"
 #include "wire/health.hpp"
-#include "wire/shard.hpp"
 
 namespace rcm::testing {
 
@@ -49,11 +48,6 @@ struct V1Fixture {
 /// How many land in the WAL fixture after the checkpoint (3: seq 7..9;
 /// seq 10 is the torn tail and must NOT be recovered).
 [[nodiscard]] std::size_t corpus_walled();
-
-/// The structured contents of the shardmap.v1.bin / handoff.v1.bin
-/// fixtures, shared with golden_format_test's semantic-decode checks.
-[[nodiscard]] wire::ShardMap corpus_shard_map();
-[[nodiscard]] wire::HandoffPacket corpus_handoff();
 
 /// The structured contents of the health.v1.bin fixture: a degraded
 /// shard instance (replica 1 down), shared with golden_format_test's

@@ -32,6 +32,7 @@
 #include "trace/scripted.hpp"
 #include "wire/codec.hpp"
 #include "wire/frame.hpp"
+#include "wire/version.hpp"
 
 namespace rcm::service {
 namespace {
@@ -182,6 +183,19 @@ TEST(AdminCodec, ResponseRoundTripsFullStatus) {
   EXPECT_EQ(back.status->replicas[1].state, ReplicaState::kDown);
   EXPECT_EQ(back.status->replicas[1].incarnation, 3u);
   EXPECT_EQ(back.status->replicas[1].recovered_wal, 17u);
+
+  // An older sharded server appended a shard identity extension (tag
+  // 0x48: shard id, epoch, owned count, owned list). It is skipped as an
+  // unknown tag and the status block still decodes.
+  std::vector<std::uint8_t> sharded = encode_admin_response(resp);
+  wire::Writer w;
+  const wire::Extension shard_ext{0x48, {1, 3, 1, 1, 0}};
+  wire::encode_extension_section(w, std::span{&shard_ext, 1});
+  sharded.insert(sharded.end(), w.bytes().begin(), w.bytes().end());
+  const AdminResponse from_sharded = decode_admin_response(sharded);
+  ASSERT_TRUE(from_sharded.status.has_value());
+  EXPECT_EQ(from_sharded.status->displayed, 56u);
+  EXPECT_EQ(from_sharded.status->replicas.size(), 2u);
 }
 
 TEST(AdminCodec, BodyResponseRoundTrips) {
