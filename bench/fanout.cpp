@@ -8,10 +8,10 @@
 // thread, and measures two things:
 //
 //   publish rate  — alerts/sec through SessionManager::publish(), i.e.
-//                   the cost the AD thread pays (durable append + window
-//                   push + wake). The tentpole claim is that this rate
-//                   is independent of stalled peers: publish() never
-//                   touches a socket.
+//                   the cost the AD pays on the replica worker that
+//                   raised the alert (durable append + window push +
+//                   wake). This rate should not depend on stalled peers:
+//                   publish() never touches a socket.
 //   delivery rate — alerts/sec until every FAST subscriber has received
 //                   the complete, gap-free alert sequence.
 //
@@ -164,7 +164,8 @@ SweepRow run_sweep_point(std::size_t subscribers, double slow_fraction,
     }
   }};
 
-  // The measured section: publish() from a single "AD" thread.
+  // The measured section: publish() from one thread, as one replica
+  // worker running the AD would.
   Alert alert;
   alert.cond = "bench.fanout";
   alert.histories[0] = {Update{0, 1, 42.0}};

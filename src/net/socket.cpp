@@ -3,16 +3,22 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <system_error>
 
 namespace rcm::net {
 namespace {
+
+/// Read size: a whole UDP datagram, or one TCP chunk. Reads land in an
+/// uninitialized stack array and are copied out at their exact length.
+constexpr std::size_t kMaxRead = 65536;
 
 [[noreturn]] void throw_errno(const char* what) {
   throw std::system_error(errno, std::generic_category(), what);
@@ -103,15 +109,14 @@ bool UdpSocket::try_send_to(std::uint16_t port,
 std::optional<std::vector<std::uint8_t>> UdpSocket::receive(
     std::chrono::milliseconds timeout) {
   if (!wait_readable(fd_.get(), timeout)) return std::nullopt;
-  std::vector<std::uint8_t> buf(65536);
+  std::array<std::uint8_t, kMaxRead> buf;
   const ssize_t n = ::recvfrom(fd_.get(), buf.data(), buf.size(), 0,
                                nullptr, nullptr);
   if (n < 0) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) return std::nullopt;
     throw_errno("recvfrom");
   }
-  buf.resize(static_cast<std::size_t>(n));
-  return buf;
+  return std::vector<std::uint8_t>(buf.data(), buf.data() + n);
 }
 
 TcpListener::TcpListener() : TcpListener(0) {}
@@ -140,6 +145,13 @@ std::optional<TcpStream> TcpListener::accept(
   return TcpStream{std::move(conn)};
 }
 
+TcpStream::TcpStream(FdHandle fd) : fd_(std::move(fd)) {
+  const int one = 1;
+  if (::setsockopt(fd_.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) <
+      0)
+    throw_errno("setsockopt(TCP_NODELAY)");
+}
+
 TcpStream TcpStream::connect(std::uint16_t port) {
   FdHandle fd{::socket(AF_INET, SOCK_STREAM, 0)};
   if (!fd.valid()) throw_errno("socket(TCP client)");
@@ -166,14 +178,14 @@ void TcpStream::write_all(std::span<const std::uint8_t> bytes) {
 std::optional<std::vector<std::uint8_t>> TcpStream::read_some(
     std::chrono::milliseconds timeout) {
   if (!wait_readable(fd_.get(), timeout)) return std::nullopt;
-  std::vector<std::uint8_t> buf(65536);
+  std::array<std::uint8_t, kMaxRead> buf;
   const ssize_t n = ::recv(fd_.get(), buf.data(), buf.size(), 0);
   if (n < 0) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) return std::nullopt;
     throw_errno("recv");
   }
-  buf.resize(static_cast<std::size_t>(n));  // empty == orderly EOF
-  return buf;
+  // empty == orderly EOF
+  return std::vector<std::uint8_t>(buf.data(), buf.data() + n);
 }
 
 void TcpStream::set_nonblocking(bool enabled) {
@@ -196,13 +208,11 @@ std::size_t TcpStream::write_some(std::span<const std::uint8_t> bytes) {
 }
 
 std::optional<std::vector<std::uint8_t>> TcpStream::read_available() {
-  std::vector<std::uint8_t> buf(65536);
+  std::array<std::uint8_t, kMaxRead> buf;
   while (true) {
     const ssize_t n = ::recv(fd_.get(), buf.data(), buf.size(), MSG_DONTWAIT);
-    if (n >= 0) {
-      buf.resize(static_cast<std::size_t>(n));  // empty == orderly EOF
-      return buf;
-    }
+    if (n >= 0)  // empty == orderly EOF
+      return std::vector<std::uint8_t>(buf.data(), buf.data() + n);
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return std::nullopt;
     throw_errno("recv");

@@ -96,7 +96,10 @@ class TcpListener {
   std::uint16_t port_ = 0;
 };
 
-/// Connected TCP stream.
+/// Connected TCP stream. Nagle's algorithm is off on every stream
+/// (TCP_NODELAY, set by connect and accept): each write here is a whole
+/// framed message, so holding a small frame back until the previous
+/// segment is ACKed only adds latency.
 class TcpStream {
  public:
   /// Connects to 127.0.0.1:`port`.
@@ -132,7 +135,7 @@ class TcpStream {
 
  private:
   friend class TcpListener;
-  explicit TcpStream(FdHandle fd) noexcept : fd_(std::move(fd)) {}
+  explicit TcpStream(FdHandle fd);
   FdHandle fd_;
 };
 

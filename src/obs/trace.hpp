@@ -117,7 +117,7 @@ class ContextScope {
   TraceContext saved_;
 };
 
-/// Labels the calling thread's ring in exports ("replica-0", "ad").
+/// Labels the calling thread's ring in exports (e.g. "replica-0").
 /// Cheap but not free (registry mutex): call once at thread start.
 void set_thread_name(const std::string& name);
 

@@ -1,6 +1,7 @@
 #include "service/alert_service.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstdio>
 #include <stdexcept>
 #include <system_error>
@@ -73,7 +74,6 @@ AlertService::AlertService(ServiceConfig config)
   }
 
   try {
-    displayer_thread_ = std::thread(&AlertService::displayer_loop, this);
     acceptor_thread_ = std::thread(&AlertService::acceptor_loop, this);
     admin_thread_ = std::thread(&AlertService::admin_loop, this);
     {
@@ -278,7 +278,7 @@ void AlertService::worker_loop(std::size_t index,
         ingest_span.var(msg.update.var).seq(msg.update.seqno);
         if (auto alert = replica.on_update(msg.update)) {
           RCM_COUNT("service.alerts.raised");
-          alert_queue_.push(std::move(*alert));
+          display(*alert);
         }
       }
       slot.accepted.store(replica.accepted_live(), std::memory_order_relaxed);
@@ -297,26 +297,23 @@ void AlertService::worker_loop(std::size_t index,
 
 // ---- display + fan-out -------------------------------------------------
 
-void AlertService::displayer_loop() {
-  obs::trace::set_thread_name("ad");
-  ad_heartbeat_ns_.store(steady_now_ns(), std::memory_order_relaxed);
-  while (auto a = alert_queue_.pop()) {
-    // Beaten per alert; the watchdog only ages this while the queue is
-    // non-empty (an idle AD blocks in pop() by design).
-    ad_heartbeat_ns_.store(steady_now_ns(), std::memory_order_relaxed);
-    // Re-enter the alert's trace on this side of the queue; the
-    // displayer records the filter-verdict span itself.
-    obs::trace::ContextScope tscope{
-        obs::trace::TraceContext{a->trace_id, 0}};
-    bool shown;
-    {
-      std::lock_guard g{display_mutex_};
-      shown = displayer_.on_alert(*a);
-    }
-    if (!shown) continue;
-    RCM_COUNT("service.alerts.displayed");
-    displayed_count_.fetch_add(1, std::memory_order_relaxed);
-    fanout(*a);
+void AlertService::display(const Alert& a) {
+  std::lock_guard g{display_mutex_};
+  // The displayer records the filter-verdict span itself, under the
+  // ingest span of the update that raised the alert.
+  if (!displayer_.on_alert(a)) return;
+  RCM_COUNT("service.alerts.displayed");
+  displayed_count_.fetch_add(1, std::memory_order_relaxed);
+  try {
+    fanout(a);
+  } catch (const std::exception& e) {
+    // Fail-stop: the alert is shown but not in the session log, and the
+    // update that raised it is already in the WAL, so a restarted worker
+    // would not raise it again. Running on would leave displayed() and
+    // the log diverged; a worker restart must not swallow this.
+    std::fprintf(stderr, "rcm: alert shown but not published: %s\n",
+                 e.what());
+    std::abort();
   }
 }
 
@@ -324,7 +321,8 @@ void AlertService::fanout(const Alert& a) {
   RCM_SCOPED_TIMER(timer, "service.fanout.seconds");
   RCM_TRACE_SPAN(span, "service.fanout");
   // Durable append + wake of the session event loop; never blocks on a
-  // subscriber socket, so one stalled peer cannot stall the AD thread.
+  // subscriber socket, so one stalled peer cannot stall the AD (or the
+  // replica worker running it).
   sessions_->publish(a);
 }
 
@@ -580,17 +578,6 @@ std::vector<wire::Degradation> AlertService::collect_degradations() {
     out.push_back({wire::DegradationKind::kEventLoopStalled,
                    "session event loop tick stale", (now - tick) / 1000000});
   }
-  // An idle AD blocks in pop() by design; only a non-empty queue with a
-  // stale heartbeat means alerts are piling up behind a stuck displayer.
-  if (alert_queue_.size() > 0) {
-    const std::uint64_t hb = ad_heartbeat_ns_.load(std::memory_order_relaxed);
-    if (hb != 0 && now > hb &&
-        now - hb > ns_of(config_.watchdog.ad_queue_budget)) {
-      out.push_back({wire::DegradationKind::kAdStalled,
-                     "alert displayer stalled with queued alerts",
-                     (now - hb) / 1000000});
-    }
-  }
 #if RCM_METRICS_ENABLED
   {
     const obs::Histogram& wal =
@@ -628,7 +615,6 @@ wire::InstanceHealth AlertService::instance_health() {
     for (const SessionInfo& info : infos)
       h.max_session_lag = std::max(h.max_session_lag, info.lag);
   }
-  h.alert_queue_depth = alert_queue_.size();
   const std::uint64_t now = steady_now_ns();
   {
     std::lock_guard g{lifecycle_mutex_};
@@ -693,11 +679,9 @@ void AlertService::drain() {
     for (std::size_t i = 0; i < slots_.size(); ++i)
       stop_worker_locked(i, /*graceful=*/true);
   }
-  // Workers are gone: nothing pushes anymore. Close and let the
-  // displayer drain the remainder through the filter and fan-out.
-  alert_queue_.close();
-  if (displayer_thread_.joinable()) displayer_thread_.join();
-  // Publishes are over; give sessions a bounded flush, then FIN them.
+  // Workers are gone, and each ran its alerts through the filter and
+  // fan-out before exiting: publishes are over. Give sessions a bounded
+  // flush, then FIN them.
   if (sessions_) sessions_->stop(std::chrono::milliseconds{500});
   if (acceptor_thread_.joinable()) acceptor_thread_.join();
   if (admin_thread_.joinable()) admin_thread_.join();

@@ -3,11 +3,19 @@
 //
 // Topology (one process, threads as actors):
 //
-//   DM streams ──UDP──▶ replica worker 0..N-1 ──queue──▶ AD thread ──▶
-//     (unbounded)        (DurableReplica each)            filter + fan-out
-//                                                            │
-//   subscribers ◀──TCP── framed alerts ◀────────────────────┘
+//   DM streams ──UDP──▶ replica worker 0..N-1 ──▶ AD filter + fan-out
+//     (unbounded)        (DurableReplica each)     (on the raising worker,
+//                                                   under display_mutex_)
+//                                                         │
+//   subscribers ◀──TCP── framed alerts ◀──────────────────┘
 //   admin tool  ◀──TCP── framed admin protocol (service/admin.hpp)
+//
+// The AD runs on whichever replica worker raised the alert: the filter
+// verdict and the session publish happen under display_mutex_, so the
+// session log's order is displayed()'s order. Lock order:
+// display_mutex_ → SessionManager's internal mutex (publish); nothing
+// takes them the other way round. A stuck AD holds display_mutex_, so it
+// stalls the replica workers and surfaces as their stale heartbeats.
 //
 // Each replica worker owns a DurableReplica (checkpoint + WAL, see
 // durable_replica.hpp) and a UDP socket on a port that stays stable
@@ -44,7 +52,6 @@
 #include "core/displayer.hpp"
 #include "core/filters.hpp"
 #include "net/socket.hpp"
-#include "runtime/queue.hpp"
 #include "service/admin.hpp"
 #include "service/durable_replica.hpp"
 #include "service/health.hpp"
@@ -136,8 +143,9 @@ class AlertService {
   }
 
   /// Graceful shutdown: stops ingest (each live worker takes a final
-  /// checkpoint), drains the alert queue through the filter and fan-out,
-  /// closes subscriber connections, stops all threads. Idempotent.
+  /// checkpoint; every alert it raised has already been through the
+  /// filter and fan-out), closes subscriber connections, stops all
+  /// threads. Idempotent.
   void drain();
 
   /// True once an admin kDrain request has been received. The process
@@ -214,7 +222,10 @@ class AlertService {
 
   void worker_loop(std::size_t index, std::shared_ptr<WorkerControl> ctl,
                    std::unique_ptr<net::UdpSocket> socket);
-  void displayer_loop();
+  /// Runs one raised alert through the AD filter and, if shown, the
+  /// fan-out. Called on the raising replica worker. Aborts the process
+  /// if a shown alert cannot be published (alert log write failure).
+  void display(const Alert& a);
   void fanout(const Alert& a);
   void acceptor_loop();
   void admin_loop();
@@ -223,7 +234,7 @@ class AlertService {
       std::span<const std::uint8_t> payload);
   [[nodiscard]] std::string sessions_json() const;
   void monitor_loop();
-  /// Evaluates the stall-watchdog policy now (replica/session/AD
+  /// Evaluates the stall-watchdog policy now (replica/session
   /// heartbeats, WAL p99) and returns the active degradations.
   [[nodiscard]] std::vector<wire::Degradation> collect_degradations();
   /// Serves the cluster-scoped admin kHealth command: the aggregate
@@ -248,7 +259,8 @@ class AlertService {
   std::vector<std::unique_ptr<ReplicaSlot>> slots_;
   ReplicaSupervisor supervisor_;
 
-  runtime::BlockingQueue<Alert> alert_queue_;
+  /// Serializes the AD across replica workers; taken before the session
+  /// layer's mutex (see the lock order above).
   mutable std::mutex display_mutex_;
   AlertDisplayer displayer_;
   std::atomic<std::uint64_t> displayed_count_{0};
@@ -265,7 +277,6 @@ class AlertService {
 
   std::chrono::steady_clock::time_point started_at_{
       std::chrono::steady_clock::now()};
-  std::atomic<std::uint64_t> ad_heartbeat_ns_{0};
   WatchdogAlerts watchdog_alerts_;
 
   // Durable, idempotent END-marker set.
@@ -285,7 +296,6 @@ class AlertService {
   std::mutex drain_mutex_;
   bool drain_done_ = false;
 
-  std::thread displayer_thread_;
   std::thread acceptor_thread_;
   std::thread admin_thread_;
   std::thread monitor_thread_;

@@ -40,12 +40,10 @@ namespace rcm::service {
 struct WatchdogOptions {
   /// Replica-worker heartbeat: beaten every receive-poll iteration, so
   /// the budget must comfortably exceed ServiceConfig::poll_interval.
+  /// The AD runs on the replica workers, so a stuck AD shows here too.
   std::chrono::milliseconds worker_heartbeat_budget{2000};
   /// Session event-loop tick budget (loop ticks at kLoopTick when idle).
   std::chrono::milliseconds session_tick_budget{2000};
-  /// AD thread: only judged when the alert queue is non-empty (an idle
-  /// AD blocks in pop() by design and is healthy).
-  std::chrono::milliseconds ad_queue_budget{2000};
   /// WAL-append p99 budget, seconds ("excessive flush latency").
   double wal_p99_budget = 0.25;
 };

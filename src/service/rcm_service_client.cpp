@@ -10,7 +10,7 @@
 //   rcm_service_client --cmd trace-dump --admin-port P [--out trace.json]
 //   rcm_service_client --cmd feed     --ports P1,P2 --updates 1000 --seed 7
 //   rcm_service_client --cmd subscribe --sub-port P
-//   rcm_service_client --cmd subscribe --sub-port P --session worker-3 \
+//   rcm_service_client --cmd subscribe --sub-port P --session worker-3
 //                      [--from 17]
 //   rcm_service_client --cmd sessions --admin-port P
 //   rcm_service_client --cmd health   --admin-port P [--instance]

@@ -174,7 +174,7 @@ void SessionManager::compact_cursors_locked() {
   cursor_records_ = 0;
 }
 
-// ---- publish (AD thread) -----------------------------------------------
+// ---- publish (AD, on the raising replica worker) -----------------------
 
 void SessionManager::publish(const Alert& a) {
   std::lock_guard g{mutex_};

@@ -10,9 +10,9 @@
 // gap-free replay from the window before rejoining the live stream.
 //
 // Fan-out is one readiness-driven event-loop thread over non-blocking
-// sockets: publish() (called from the AD thread) only appends to the log
-// and wakes the loop, so one stalled TCP peer can never stall the AD or
-// any other session. Per-session send state is a cursor into the shared
+// sockets: publish() (called by the AD, on the replica worker that raised
+// the alert) only appends to the log and wakes the loop, so one stalled
+// TCP peer can never stall the AD or any other session. Per-session send state is a cursor into the shared
 // window plus a frame-aligned partial-write buffer, so a torn frame on a
 // dying connection consumes nothing: the session's last fully-framed
 // index is recorded and replay after reconnect is exact.
@@ -95,7 +95,7 @@ class SessionManager {
   void adopt(net::TcpStream stream);
 
   /// Durably appends one displayed alert and schedules fan-out. Called
-  /// from the AD thread; never blocks on any subscriber socket.
+  /// by the AD on a replica worker; never blocks on any subscriber socket.
   void publish(const Alert& a);
 
   /// Flushes pending session traffic (until `flush_deadline`), FINs all

@@ -28,11 +28,12 @@ inline constexpr std::uint8_t kHealthMaxMajor = 1;
 /// emit. Append only — values are frozen in the v1 corpus.
 enum class DegradationKind : std::uint8_t {
   kReplicaDown = 0,        // replica worker not running
-  kHeartbeatMissed = 1,    // worker/session/AD heartbeat older than budget
+  kHeartbeatMissed = 1,    // replica worker heartbeat older than budget
   kWalFlushSlow = 2,       // WAL append p99 above budget
   kEventLoopStalled = 3,   // session event loop tick overdue
   kSessionLagExceeded = 4, // a session's replay lag above budget
-  kAdStalled = 5,          // AD thread has queued alerts but no heartbeat
+  kAdStalled = 5,          // decode-only: written by services that ran
+                           // the AD on its own thread behind a queue
   kUnreachable = 6,        // aggregator could not scrape this instance
 };
 
@@ -90,6 +91,9 @@ struct InstanceHealth {
   std::uint64_t uptime_ns = 0;
   std::uint64_t sessions = 0;
   std::uint64_t max_session_lag = 0;
+  /// Reserved slot: a current service always reports 0 (its AD has no
+  /// queue). Kept so documents from older services decode and re-encode
+  /// byte for byte.
   std::uint64_t alert_queue_depth = 0;
   std::vector<ReplicaHealth> replicas;
   std::vector<RateSample> rates;

@@ -351,7 +351,9 @@ TEST(FilterDecide, AgreesWithAcceptsInEveryReachableState) {
       EXPECT_EQ(d.accept, f->accepts(a));
       ASSERT_NE(d.reason, nullptr);
       EXPECT_FALSE(std::string_view{d.reason}.empty());
-      if (d.accept) EXPECT_EQ(std::string_view{d.reason}, "accepted");
+      if (d.accept) {
+        EXPECT_EQ(std::string_view{d.reason}, "accepted");
+      }
       (void)f->offer(a);
     }
   }

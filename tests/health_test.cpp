@@ -53,10 +53,15 @@ wire::InstanceHealth sample_doc() {
 // ---- wire codec ---------------------------------------------------------
 
 TEST(HealthWireTest, RoundTripFullDocument) {
-  const wire::InstanceHealth h = sample_doc();
+  wire::InstanceHealth h = sample_doc();
   const auto bytes = wire::encode_instance_health(h);
   const wire::InstanceHealth back = wire::decode_instance_health(bytes);
   EXPECT_EQ(back, h);
+
+  // Decode-only kind: written by services that ran the AD behind a queue.
+  h.degradations.push_back(wire::Degradation{
+      wire::DegradationKind::kAdStalled, "alert displayer stalled", 2500});
+  EXPECT_EQ(wire::decode_instance_health(wire::encode_instance_health(h)), h);
 }
 
 TEST(HealthWireTest, RoundTripDefaultDocument) {
@@ -99,6 +104,9 @@ TEST(HealthWireTest, DegradationKindNamesAreStable) {
   EXPECT_STREQ(
       wire::degradation_kind_name(wire::DegradationKind::kReplicaDown),
       "replica_down");
+  EXPECT_STREQ(
+      wire::degradation_kind_name(wire::DegradationKind::kAdStalled),
+      "ad_stalled");
   EXPECT_STREQ(
       wire::degradation_kind_name(wire::DegradationKind::kUnreachable),
       "unreachable");
@@ -349,6 +357,7 @@ TEST(AdminHealthTest, InstanceScopeReportsKillAndRecovery) {
   EXPECT_TRUE(doc->healthy);
   EXPECT_TRUE(doc->degradations.empty());
   EXPECT_FALSE(doc->rates.empty()) << "rate names ride even when zero";
+  EXPECT_EQ(doc->alert_queue_depth, 0u) << "reserved slot: the AD has no queue";
 
   svc.kill_replica(1);
   doc = service::scrape_instance_health(svc.admin_port(), 2000ms);

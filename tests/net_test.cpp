@@ -1,6 +1,9 @@
 // Tests for the loopback socket substrate: raw socket semantics and
 // framed traffic over UDP and TCP.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <thread>
 
@@ -57,11 +60,20 @@ TEST(UdpSocket, DatagramBoundariesPreserved) {
   UdpSocket sender;
   sender.send_to(receiver.port(), std::vector<std::uint8_t>{1});
   sender.send_to(receiver.port(), std::vector<std::uint8_t>{2, 2});
+  const std::vector<std::uint8_t> big(4000, 0xAB);
+  const std::vector<std::uint8_t> small{3, 3, 3};
+  sender.send_to(receiver.port(), big);
+  sender.send_to(receiver.port(), small);
   const auto first = receiver.receive(1000ms);
   const auto second = receiver.receive(1000ms);
   ASSERT_TRUE(first && second);
   EXPECT_EQ(first->size(), 1u);
   EXPECT_EQ(second->size(), 2u);
+  const auto third = receiver.receive(1000ms);
+  const auto fourth = receiver.receive(1000ms);
+  ASSERT_TRUE(third && fourth);
+  EXPECT_EQ(*third, big);
+  EXPECT_EQ(*fourth, small);  // no tail of the earlier, larger read
 }
 
 TEST(Tcp, ConnectAcceptExchange) {
@@ -123,6 +135,61 @@ TEST(Tcp, FramedAlertsSurviveChunking) {
   ASSERT_EQ(decoded.size(), 1u);
   EXPECT_EQ(decoded[0].key(), alert.key());
   client.join();
+}
+
+bool nodelay(const TcpStream& stream) {
+  int value = 0;
+  socklen_t len = sizeof(value);
+  if (::getsockopt(stream.native_handle(), IPPROTO_TCP, TCP_NODELAY, &value,
+                   &len) < 0)
+    return false;
+  return value != 0;
+}
+
+TEST(Tcp, NagleIsOffOnBothEnds) {
+  // Every stream carries whole framed messages; a small frame must not
+  // wait in the kernel for the ACK of the previous segment.
+  TcpListener listener;
+  TcpStream client = TcpStream::connect(listener.port());
+  auto accepted = listener.accept(2000ms);
+  ASSERT_TRUE(accepted.has_value());
+  EXPECT_TRUE(nodelay(client));
+  EXPECT_TRUE(nodelay(*accepted));
+}
+
+TEST(Tcp, ReadsReturnExactlyTheBytesRead) {
+  TcpListener listener;
+  TcpStream client = TcpStream::connect(listener.port());
+  auto accepted = listener.accept(2000ms);
+  ASSERT_TRUE(accepted.has_value());
+  const std::vector<std::uint8_t> big(3000, 0xCD);
+  const std::vector<std::uint8_t> small{7, 8};
+  const auto read_exactly = [&](std::size_t want, bool blocking) {
+    std::vector<std::uint8_t> got;
+    for (int tries = 0; got.size() < want && tries < 200; ++tries) {
+      const auto chunk =
+          blocking ? accepted->read_some(1000ms) : accepted->read_available();
+      if (!chunk) {
+        std::this_thread::sleep_for(5ms);
+        continue;
+      }
+      if (chunk->empty()) break;
+      got.insert(got.end(), chunk->begin(), chunk->end());
+    }
+    return got;
+  };
+  client.write_all(big);
+  EXPECT_EQ(read_exactly(big.size(), true), big);
+  client.write_all(small);
+  EXPECT_EQ(read_exactly(small.size(), true), small);
+  client.write_all(big);
+  EXPECT_EQ(read_exactly(big.size(), false), big);
+  client.write_all(small);
+  EXPECT_EQ(read_exactly(small.size(), false), small);
+  client.shutdown_write();
+  const auto eof = accepted->read_some(1000ms);
+  ASSERT_TRUE(eof.has_value());
+  EXPECT_TRUE(eof->empty());
 }
 
 }  // namespace

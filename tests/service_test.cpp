@@ -4,7 +4,9 @@
 // replica mid-stream, restart it, and require the exact checkers in
 // src/check/ to report the SAME completeness/consistency verdicts as
 // the corresponding non-replicated run, for both AD-1 and AD-4.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -32,6 +34,7 @@
 #include "trace/scripted.hpp"
 #include "wire/codec.hpp"
 #include "wire/frame.hpp"
+#include "wire/session.hpp"
 #include "wire/version.hpp"
 
 namespace rcm::service {
@@ -376,6 +379,131 @@ TEST(AlertService, SubscriberReceivesEveryDisplayedAlertFramed) {
   ASSERT_EQ(received.size(), displayed.size());
   for (std::size_t i = 0; i < received.size(); ++i)
     EXPECT_EQ(received[i].key(), displayed[i].key());
+}
+
+// The AD runs on whichever replica worker raised the alert, and publishes
+// under the same lock as the filter verdict: with every replica racing at
+// full send rate, each session still receives exactly displayed(), in
+// order, under gap-free indexes.
+TEST(AlertService, SessionsReceiveExactlyDisplayedFromRacingReplicas) {
+  const std::vector<Update> trace = make_trace(600);
+  for (FilterKind filter : {FilterKind::kAd1, FilterKind::kAd4}) {
+    const std::string tag{filter_kind_name(filter)};
+    SCOPED_TRACE(tag);
+    ServiceConfig cfg;
+    cfg.condition = threshold_condition();
+    cfg.num_replicas = 3;
+    cfg.filter = filter;
+    cfg.data_dir = fresh_dir("racing_" + tag);
+    cfg.auto_restart = false;
+    cfg.poll_interval = 5ms;
+    AlertService svc{cfg};
+
+    constexpr std::size_t kSubs = 3;
+    std::vector<net::TcpStream> subs;
+    for (std::size_t i = 0; i < kSubs; ++i) {
+      subs.push_back(net::TcpStream::connect(svc.subscriber_port()));
+      wire::SessionHello hello;
+      hello.session_id = "sub-" + std::to_string(i);
+      hello.from = 0;
+      subs.back().write_all(wire::frame(wire::encode_session_hello(hello)));
+    }
+    const auto all_connected = [&] {
+      std::size_t n = 0;
+      for (const SessionInfo& info : svc.session_manager().sessions())
+        n += info.connected ? 1 : 0;
+      return n == kSubs;
+    };
+    for (int i = 0; i < 200 && !all_connected(); ++i)
+      std::this_thread::sleep_for(10ms);
+    ASSERT_TRUE(all_connected());
+
+    const std::vector<std::uint16_t> ports = svc.replica_ports();
+    net::UdpSocket udp{0};
+    feed(udp, ports, trace);  // no pacing: the replicas race
+    for (const std::uint16_t port : ports)
+      udp.try_send_to(port, wire::frame(wire::encode_end_marker(0)));
+    ASSERT_TRUE(svc.await_dm_ends(1, 5s));
+    ASSERT_TRUE(svc.await_idle(80ms, 5s));
+    const std::vector<Alert> displayed = svc.displayed();
+    ASSERT_FALSE(displayed.empty());
+    EXPECT_GT(svc.arrived().size(), displayed.size())
+        << "three replicas raise every alert three times";
+
+    for (std::size_t i = 0; i < kSubs; ++i) {
+      SCOPED_TRACE("sub-" + std::to_string(i));
+      wire::FrameCursor cursor;
+      std::vector<wire::SessionRecord> records;
+      bool welcomed = false;
+      const auto deadline = std::chrono::steady_clock::now() + 5s;
+      while (records.size() < displayed.size() &&
+             std::chrono::steady_clock::now() < deadline) {
+        const auto chunk = subs[i].read_some(100ms);
+        if (!chunk) continue;
+        ASSERT_FALSE(chunk->empty()) << "unexpected EOF";
+        cursor.feed(*chunk);
+        while (auto payload = cursor.next()) {
+          if (!welcomed) {
+            ASSERT_EQ((*payload)[0], wire::kSessionWelcomeTag);
+            welcomed = true;
+            continue;
+          }
+          records.push_back(wire::decode_session_record(*payload));
+        }
+      }
+      ASSERT_EQ(records.size(), displayed.size());
+      for (std::size_t k = 0; k < records.size(); ++k) {
+        ASSERT_EQ(records[k].kind, wire::SessionRecord::Kind::kAlert);
+        EXPECT_EQ(records[k].index, k);
+        EXPECT_EQ(records[k].alert.alert.key(), displayed[k].key());
+      }
+    }
+    svc.drain();
+    std::filesystem::remove_all(cfg.data_dir);
+  }
+}
+
+/// Points the process's open descriptor of `file` at /dev/full, so every
+/// later write to it fails with ENOSPC.
+void redirect_to_dev_full(const std::filesystem::path& file) {
+  const auto target = std::filesystem::canonical(file);
+  const int full = ::open("/dev/full", O_WRONLY);
+  ASSERT_GE(full, 0);
+  bool found = false;
+  for (const auto& entry :
+       std::filesystem::directory_iterator{"/proc/self/fd"}) {
+    std::error_code ec;
+    if (std::filesystem::read_symlink(entry.path(), ec) != target) continue;
+    ASSERT_GE(::dup2(full, std::stoi(entry.path().filename().string())), 0);
+    found = true;
+  }
+  ::close(full);
+  ASSERT_TRUE(found) << "no open descriptor for " << target;
+}
+
+// A shown alert that cannot be written to the durable session log stops
+// the process. The update that raised it is already in the WAL, so a
+// restarted worker would not raise it again: running on would leave
+// displayed() ahead of the log and of every subscriber, silently.
+TEST(AlertServiceDeathTest, AlertLogWriteFailureStopsTheProcess) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto dir = fresh_dir("alert_log_full");
+  EXPECT_DEATH(
+      {
+        ServiceConfig cfg;
+        cfg.condition = threshold_condition();
+        cfg.num_replicas = 1;
+        cfg.data_dir = dir;
+        cfg.poll_interval = 5ms;
+        AlertService svc{cfg};
+        redirect_to_dev_full(dir / "alerts.log");
+        net::UdpSocket udp{0};
+        feed(udp, svc.replica_ports(), make_trace(20));
+        (void)svc.await_idle(80ms, 5s);
+        svc.drain();  // still alive: the death test fails
+      },
+      "alert shown but not published");
+  std::filesystem::remove_all(dir);
 }
 
 // ---- durable END markers ------------------------------------------------

@@ -153,7 +153,9 @@ TEST(Workload, MaterializeRenumbersSeqnosAndAssignsOwners) {
   std::size_t unit_owned = 0;
   for (std::size_t k = 0; k < primary.size(); ++k) {
     EXPECT_EQ(primary[k].update.seqno, static_cast<SeqNo>(k) + 1);
-    if (k) EXPECT_LE(primary[k - 1].time, primary[k].time);
+    if (k) {
+      EXPECT_LE(primary[k - 1].time, primary[k].time);
+    }
     if (mat.owner[k] != kBaseTraffic) {
       EXPECT_LT(mat.owner[k], spec.units.size());
       ++unit_owned;
