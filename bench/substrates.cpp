@@ -3,7 +3,7 @@
 //
 //   sim      deterministic discrete-event simulator (virtual time),
 //   service  the live AlertService: loopback UDP ingest, durable replica
-//            workers, AD thread (service::run_trace),
+//            workers, the AD on the raising worker (service::run_trace),
 //
 // reporting wall-clock runtime, update throughput, and (the important
 // part) that both display the SAME alert key set for a lossless run —

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   config.filter = rcm::parse_filter_kind(args.get("filter"));
 
   std::cout << "spawning 1 DM thread, " << config.num_replicas
-            << " CE replica threads, 1 AD thread; loss " << args.get("loss")
+            << " CE replica threads (AD on the raising replica); loss " << args.get("loss")
             << ", filter " << rcm::filter_kind_name(config.filter) << "\n";
 
   const rcm::sim::RunResult result = rcm::service::run_trace(

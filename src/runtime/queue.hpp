@@ -1,11 +1,9 @@
-// Blocking MPMC queues: the alert service's replica-to-AD queue and the
-// task queue of runtime::ThreadPool.
+// Bounded blocking MPMC queue: the task queue of runtime::ThreadPool.
 //
-// Closing a queue wakes all blocked consumers; pop() then drains any
-// remaining elements before reporting exhaustion, so no message is lost
-// on shutdown (the paper's back links are lossless — so are our queues).
-// BoundedBlockingQueue adds a capacity: push() blocks while full, giving
-// producers natural backpressure instead of unbounded buffering.
+// push() blocks while the queue is full, giving producers natural
+// backpressure instead of unbounded buffering. Closing the queue wakes
+// every blocked producer and consumer; pop() then drains any remaining
+// elements before reporting exhaustion, so no task is lost on shutdown.
 #pragma once
 
 #include <condition_variable>
@@ -17,72 +15,10 @@
 
 namespace rcm::runtime {
 
-template <typename T>
-class BlockingQueue {
- public:
-  /// Enqueues unless the queue is closed; returns whether the element was
-  /// accepted.
-  bool push(T value) {
-    {
-      std::lock_guard lock{mutex_};
-      if (closed_) return false;
-      items_.push_back(std::move(value));
-    }
-    cv_.notify_one();
-    return true;
-  }
-
-  /// Blocks until an element is available or the queue is closed and
-  /// drained; nullopt means "closed and empty" (the consumer should exit).
-  std::optional<T> pop() {
-    std::unique_lock lock{mutex_};
-    cv_.wait(lock, [&] { return !items_.empty() || closed_; });
-    if (items_.empty()) return std::nullopt;
-    T value = std::move(items_.front());
-    items_.pop_front();
-    return value;
-  }
-
-  /// Non-blocking variant; nullopt when currently empty (queue may still
-  /// be open).
-  std::optional<T> try_pop() {
-    std::lock_guard lock{mutex_};
-    if (items_.empty()) return std::nullopt;
-    T value = std::move(items_.front());
-    items_.pop_front();
-    return value;
-  }
-
-  /// Rejects future pushes and wakes all blocked consumers.
-  void close() {
-    {
-      std::lock_guard lock{mutex_};
-      closed_ = true;
-    }
-    cv_.notify_all();
-  }
-
-  [[nodiscard]] bool closed() const {
-    std::lock_guard lock{mutex_};
-    return closed_;
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    std::lock_guard lock{mutex_};
-    return items_.size();
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<T> items_;
-  bool closed_ = false;
-};
-
-/// Bounded MPMC variant: push() blocks while the queue holds `capacity`
-/// elements (backpressure), pop() blocks while empty. Close semantics
-/// match BlockingQueue: pushes are rejected immediately, consumers drain
-/// the remaining elements and then see nullopt.
+/// push() blocks while the queue holds `capacity` elements, pop() blocks
+/// while empty. After close(), push() returns false at once (also for a
+/// producer blocked on a full queue), and pop() returns the remaining
+/// elements in order, then nullopt.
 template <typename T>
 class BoundedBlockingQueue {
  public:

@@ -1,5 +1,6 @@
 // Framed admin protocol for the alert service: status, replica
-// kill/restart, checkpoint trigger, drain.
+// kill/restart, checkpoint trigger, drain, and telemetry (metrics, trace
+// dump, sessions, health).
 //
 // One TCP connection carries any number of request/response exchanges;
 // each message is one CRC frame (wire/frame.hpp) holding:
@@ -14,8 +15,10 @@
 //               | string(body)                     (when has_body = 1)
 //               | [extension section]              (only when non-empty)
 //
-// `body` carries bulk text payloads: the live metrics snapshot
-// (kMetrics) and the Chrome trace JSON (kTraceDump).
+// `body` carries bulk payloads: the live metrics snapshot (kMetrics),
+// the Chrome trace JSON (kTraceDump), the session list (kSessions), the
+// binary health document (kHealth) and the Prometheus text
+// (kMetricsProm).
 //
 // The codec is symmetric and exhaustive so rcm_service_client, the
 // tests, and the fuzz harness all speak exactly the same bytes.
@@ -76,14 +79,15 @@ enum class AdminCommand : std::uint8_t {
   kMetrics = 5,     ///< live obs::registry().snapshot_json() in `body`
   kTraceDump = 6,   ///< Chrome trace_event JSON export in `body`
   kSessions = 7,    ///< per-session cursor/lag/backlog JSON in `body`
-  kHealth = 9,      ///< cluster health JSON in `body` (see scope)
+  kHealth = 9,      ///< binary wire::InstanceHealth in `body` (see scope)
   kMetricsProm = 10, ///< Prometheus text exposition in `body`
 };
 
-/// Breadth of a kHealth request. A cluster-scoped request returns the
-/// aggregate JSON document (today over the serving instance alone); an
-/// instance-scoped request returns the serving instance's own binary
-/// wire::InstanceHealth document.
+/// Scope of a kHealth request. An instance-scoped request returns the
+/// serving instance's binary wire::InstanceHealth document. kCluster,
+/// the wire default, asked for an aggregate JSON document and retired
+/// with the shard tier: it still decodes, and the server answers it
+/// with an error reply naming the instance scope.
 enum class HealthScope : std::uint8_t {
   kCluster = 0,
   kInstance = 1,
@@ -101,9 +105,8 @@ struct AdminRequest {
   /// The sender's declared protocol version; {1, 0} when the request
   /// carried no version extension (a v1 peer).
   wire::VersionHeader version{1, 0};
-  /// kHealth breadth; rides a skippable extension (2.3+). Decoders that
-  /// predate it see a plain request and serve their widest scope, which
-  /// is safe: they also predate aggregation, so they cannot recurse.
+  /// kHealth scope; rides a skippable extension (2.3+), sent only when
+  /// it is not the default.
   HealthScope scope = HealthScope::kCluster;
 };
 

@@ -185,6 +185,7 @@ std::size_t AlertService::replica_restarts(std::size_t i) const {
 
 void AlertService::monitor_loop() {
   std::uint64_t ticks = 0;
+  std::size_t last_degradations = 0;  // the watchdog alarm's edge trigger
   while (!stopping_.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(kMonitorTick);
     {
@@ -210,9 +211,11 @@ void AlertService::monitor_loop() {
     // the lifecycle lock (collect_degradations takes it briefly itself)
     // so a slow heartbeat sweep never delays a crash restart.
     if (++ticks % kWatchdogEvery == 0) {
-      const std::vector<wire::Degradation> degs = collect_degradations();
-      if (watchdog_alerts_.on_check(degs.size()).has_value()) {
-        RCM_COUNT("service.watchdog.alerts");
+      const std::size_t degradations = collect_degradations().size();
+      if (degradations != last_degradations) {
+        last_degradations = degradations;
+        if (watchdog_alarm_.feed(static_cast<double>(degradations)))
+          RCM_COUNT("service.watchdog.alerts");
       }
     }
   }
@@ -427,14 +430,19 @@ AdminResponse AlertService::dispatch_admin(
         resp.body = sessions_json();
         break;
       case AdminCommand::kHealth: {
-        if (req.scope == HealthScope::kInstance) {
-          // Binary InstanceHealth in the length-prefixed body string: a
-          // scraper decodes it, a human asks for the cluster scope.
-          const auto bytes = wire::encode_instance_health(instance_health());
-          resp.body = std::string(bytes.begin(), bytes.end());
-        } else {
-          resp.body = cluster_health_json();
+        // One document per service: the binary InstanceHealth in the
+        // length-prefixed body string. The cluster scope (the request
+        // default) retired with the shard tier; it gets an error reply
+        // on a connection that stays open.
+        if (req.scope != HealthScope::kInstance) {
+          resp.ok = false;
+          resp.error =
+              "health: the cluster scope is retired; ask for the instance "
+              "scope";
+          break;
         }
+        const auto bytes = wire::encode_instance_health(instance_health());
+        resp.body = std::string(bytes.begin(), bytes.end());
         break;
       }
       case AdminCommand::kMetricsProm:
@@ -649,11 +657,6 @@ wire::InstanceHealth AlertService::instance_health() {
   h.degradations = collect_degradations();
   h.healthy = h.degradations.empty();
   return h;
-}
-
-std::string AlertService::cluster_health_json() {
-  const ScrapedInstance self{admin_port(), instance_health()};
-  return aggregate_health_json({&self, 1});
 }
 
 // ---- drain -------------------------------------------------------------

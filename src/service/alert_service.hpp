@@ -139,7 +139,7 @@ class AlertService {
   /// Alerts raised so far by the dogfooded watchdog CE
   /// (`service.watchdog.degraded`).
   [[nodiscard]] std::vector<Alert> watchdog_alerts() const {
-    return watchdog_alerts_.emitted();
+    return watchdog_alarm_.emitted();
   }
 
   /// Graceful shutdown: stops ingest (each live worker takes a final
@@ -237,9 +237,6 @@ class AlertService {
   /// Evaluates the stall-watchdog policy now (replica/session
   /// heartbeats, WAL p99) and returns the active degradations.
   [[nodiscard]] std::vector<wire::Degradation> collect_degradations();
-  /// Serves the cluster-scoped admin kHealth command: the aggregate
-  /// document over the one instance this service is.
-  [[nodiscard]] std::string cluster_health_json();
 
   /// Starts a new incarnation of replica `i`. Caller holds lifecycle_mutex_.
   void start_worker_locked(std::size_t i);
@@ -277,7 +274,10 @@ class AlertService {
 
   std::chrono::steady_clock::time_point started_at_{
       std::chrono::steady_clock::now()};
-  WatchdogAlerts watchdog_alerts_;
+  /// Fed by the monitor loop when the degradation count changes, so a
+  /// persistent stall raises one alert, not one per check.
+  SelfAlarm watchdog_alarm_{"service.watchdog.degraded",
+                            "watchdog_degradations", 0.0};
 
   // Durable, idempotent END-marker set.
   mutable std::mutex ends_mutex_;

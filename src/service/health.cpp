@@ -1,5 +1,6 @@
 #include "service/health.hpp"
 
+#include <iomanip>
 #include <sstream>
 
 #include "core/expr/expression_condition.hpp"
@@ -29,41 +30,29 @@ const char* role_name(wire::InstanceRole role) {
   return "unknown";
 }
 
-/// The dogfooded cluster verdict rule (also reported in the document so
-/// operators can see what "healthy" means).
-constexpr const char* kVerdictRule = "cluster_degradations[0] > 0";
-
-/// True iff the compiled verdict rule stays silent on `degradations`.
-bool cluster_healthy(std::uint64_t degradations) {
-  VariableRegistry vars;
-  const VarId var = vars.intern("cluster_degradations");
-  ConditionEvaluator ce{
-      expr::compile_condition("cluster.unhealthy", kVerdictRule, vars),
-      "health"};
-  return !ce.on_update(Update{var, 1, static_cast<double>(degradations)})
-              .has_value();
+std::string threshold_source(const std::string& var, double threshold) {
+  std::ostringstream out;
+  out << var << "[0] > " << std::setprecision(17) << threshold;
+  return out.str();
 }
 
 }  // namespace
 
-// ---- WatchdogAlerts -----------------------------------------------------
+// ---- SelfAlarm ---------------------------------------------------------
 
-WatchdogAlerts::WatchdogAlerts()
-    : var_(vars_.intern("watchdog_degradations")),
-      ce_(expr::compile_condition("service.watchdog.degraded",
-                                  "watchdog_degradations[0] > 0", vars_),
-          "watchdog") {}
+SelfAlarm::SelfAlarm(std::string cond, const std::string& var,
+                     double threshold)
+    : var_(vars_.intern(var)),
+      ce_(expr::compile_condition(std::move(cond),
+                                  threshold_source(var, threshold), vars_),
+          "self") {}
 
-std::optional<Alert> WatchdogAlerts::on_check(std::size_t degradations) {
+std::optional<Alert> SelfAlarm::feed(double value) {
   std::lock_guard g{mutex_};
-  if (last_count_ && *last_count_ == degradations) return std::nullopt;
-  last_count_ = degradations;
-  return ce_.on_update(
-      Update{var_, static_cast<SeqNo>(++seq_),
-             static_cast<double>(degradations)});
+  return ce_.on_update(Update{var_, ++seq_, value});
 }
 
-std::vector<Alert> WatchdogAlerts::emitted() const {
+std::vector<Alert> SelfAlarm::emitted() const {
   std::lock_guard g{mutex_};
   return ce_.emitted();
 }
@@ -104,14 +93,11 @@ std::optional<wire::InstanceHealth> scrape_instance_health(
 std::string instance_health_json(const wire::InstanceHealth& h) {
   std::string out = "{\"role\": \"";
   out += role_name(h.role);
-  out += "\", \"shard_id\": " + std::to_string(h.shard_id) +
-         ", \"epoch\": " + std::to_string(h.epoch) +
-         ", \"healthy\": " + (h.healthy ? "true" : "false") +
+  out += std::string{"\", \"healthy\": "} + (h.healthy ? "true" : "false") +
          ", \"uptime_seconds\": " +
          json_num(static_cast<double>(h.uptime_ns) * 1e-9) +
          ", \"sessions\": " + std::to_string(h.sessions) +
          ", \"max_session_lag\": " + std::to_string(h.max_session_lag) +
-         ", \"alert_queue_depth\": " + std::to_string(h.alert_queue_depth) +
          ", \"replicas\": [";
   bool first = true;
   for (const wire::ReplicaHealth& r : h.replicas) {
@@ -146,37 +132,6 @@ std::string instance_health_json(const wire::InstanceHealth& h) {
            "\", \"value\": " + std::to_string(d.value) + "}";
   }
   out += "]}";
-  return out;
-}
-
-std::string aggregate_health_json(
-    std::span<const ScrapedInstance> instances) {
-  std::uint64_t degradations = 0;
-  std::uint64_t unreachable = 0;
-  std::string blocks;
-  bool first = true;
-  for (const auto& [port, doc] : instances) {
-    if (!first) blocks += ", ";
-    first = false;
-    blocks += "{\"admin_port\": " + std::to_string(port) + ", \"health\": ";
-    if (doc) {
-      degradations += doc->degradations.size();
-      blocks += instance_health_json(*doc);
-    } else {
-      // A failed scrape is itself a degradation of the cluster.
-      ++unreachable;
-      ++degradations;
-      blocks += "null";
-    }
-    blocks += "}";
-  }
-  const bool healthy = cluster_healthy(degradations);
-  std::string out = "{\"healthy\": ";
-  out += healthy ? "true" : "false";
-  out += ", \"instances\": [" + blocks +
-         "], \"degradations\": " + std::to_string(degradations) +
-         ", \"unreachable\": " + std::to_string(unreachable) +
-         ", \"verdict_rule\": \"" + obs::json_escape(kVerdictRule) + "\"}";
   return out;
 }
 

@@ -1,31 +1,27 @@
-// Cluster-wide health: the stall-watchdog policy, the dogfooded
-// "service is degraded" alert channel, the per-instance → cluster
-// health-document aggregator, and the Prometheus /metrics exporter.
+// Instance health: the stall-watchdog policy, the dogfooded self-alarm,
+// the health document's JSON rendering, and the Prometheus /metrics
+// exporter.
 //
-// The shape follows FoundationDB's `status json`: every instance can
-// answer an instance-scoped admin kHealth request with its own versioned
-// wire::InstanceHealth document, and a cluster-scoped one with the
-// aggregate JSON document over the instances it knows — today only
-// itself — with a top-level healthy verdict. scrape_instance_health
-// fetches an instance-scoped document over TCP (the fuzz health oracle
-// uses it).
+// The shape follows FoundationDB's `status json`: a service answers an
+// instance-scoped admin kHealth request with its own versioned
+// wire::InstanceHealth document. There is one document per service;
+// the retired cluster scope gets an error reply. scrape_instance_health
+// fetches the document over TCP (the client and the fuzz health oracle
+// use it).
 //
-// Dogfooding: the healthy/unhealthy verdict and the watchdog's degraded
-// alert both run through expr::compile_condition + ConditionEvaluator —
-// the same machinery the service monitors for its users (probe.hpp set
-// the pattern).
+// Dogfooding: the service's self-alarms (the watchdog's degraded alert,
+// the session layer's lag alert) are SelfAlarms, which run through
+// expr::compile_condition + ConditionEvaluator — the same machinery the
+// service monitors for its users.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "core/evaluator.hpp"
@@ -48,21 +44,21 @@ struct WatchdogOptions {
   double wal_p99_budget = 0.25;
 };
 
-/// Dogfooded watchdog alert channel: degradation counts are fed as
-/// updates into a condition-language CE running
+/// One dogfooded self-alarm: a condition-language CE running
 ///
-///   service.watchdog.degraded:  watchdog_degradations[0] > 0
+///   <cond>:  <var>[0] > <threshold>
 ///
-/// so "the monitor's own process is stalling" is itself an rcm alert.
-/// Edge-triggered: a check is fed only when its degradation count
-/// changed, so a persistent stall raises one alert, not one per tick.
-class WatchdogAlerts {
+/// over its own one-variable registry. Each feed() is one update with
+/// the next sequence number. The alarm holds no latch: callers decide
+/// when a value is worth feeding (on a change, once per excursion).
+/// Thread-safe.
+class SelfAlarm {
  public:
-  WatchdogAlerts();
+  SelfAlarm(std::string cond, const std::string& var, double threshold);
 
-  /// Feeds one watchdog check result. Returns the alert raised by the
-  /// CE, if any. Thread-safe.
-  std::optional<Alert> on_check(std::size_t degradations);
+  /// Feeds `value` as the variable's next update. Returns the alert the
+  /// CE raised, if any.
+  std::optional<Alert> feed(double value);
 
   /// Alerts raised so far.
   [[nodiscard]] std::vector<Alert> emitted() const;
@@ -70,38 +66,20 @@ class WatchdogAlerts {
  private:
   mutable std::mutex mutex_;
   VariableRegistry vars_;
-  VarId var_ = 0;
+  VarId var_;
   ConditionEvaluator ce_;
   SeqNo seq_ = 0;
-  std::optional<std::size_t> last_count_;
 };
 
-/// One scraped instance: the admin port it was scraped on and its
-/// document — nullopt when the scrape failed (connect/timeout/decode),
-/// which the aggregator reports as a kUnreachable degradation.
-using ScrapedInstance =
-    std::pair<std::uint16_t, std::optional<wire::InstanceHealth>>;
-
-/// Fetches one instance-scoped health document over the admin protocol.
+/// Fetches the instance health document over the admin protocol.
 /// Returns nullopt on any failure within `timeout`.
 [[nodiscard]] std::optional<wire::InstanceHealth> scrape_instance_health(
     std::uint16_t admin_port, std::chrono::milliseconds timeout);
 
-/// JSON rendering of one instance document (an object, no trailing
-/// newline). Used both standalone (instance blocks of the cluster
-/// document) and by the client's `status --json` health block.
+/// JSON rendering of the instance health document (an object, no
+/// trailing newline): the client's `health` output and the health block
+/// of `status --json`.
 [[nodiscard]] std::string instance_health_json(const wire::InstanceHealth& h);
-
-/// Merges scraped instances into the cluster health JSON document:
-///
-///   {"healthy": bool, "instances": [...], "degradations": N,
-///    "unreachable": N, "verdict_rule": "..."}
-///
-/// The healthy verdict is dogfooded: the total degradation count
-/// (including one kUnreachable per failed scrape) is evaluated by a
-/// compiled condition-language rule; healthy iff it raises no alert.
-[[nodiscard]] std::string aggregate_health_json(
-    std::span<const ScrapedInstance> instances);
 
 /// Serves `GET /metrics` (Prometheus text exposition of the process
 /// registry) on a loopback TCP port. One thread, one request per

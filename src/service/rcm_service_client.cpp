@@ -13,12 +13,10 @@
 //   rcm_service_client --cmd subscribe --sub-port P --session worker-3
 //                      [--from 17]
 //   rcm_service_client --cmd sessions --admin-port P
-//   rcm_service_client --cmd health   --admin-port P [--instance]
+//   rcm_service_client --cmd health   --admin-port P
 //   rcm_service_client --cmd metrics-prom --admin-port P [--out m.prom]
 //
-// `health` asks the instance for the aggregated cluster health document
-// (it scrapes every peer it knows about, including itself); with
-// `--instance` it prints only that instance's own document.
+// `health` fetches the service's health document and prints it as JSON.
 // `metrics-prom` prints the Prometheus text exposition of the service's
 // registry. `metrics` prints the service's live obs registry snapshot
 // (JSON);
@@ -38,7 +36,6 @@
 #include <exception>
 #include <fstream>
 #include <optional>
-#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -48,7 +45,6 @@
 #include "obs/trace.hpp"
 #include "service/admin.hpp"
 #include "service/health.hpp"
-#include "wire/health.hpp"
 #include "trace/generators.hpp"
 #include "util/args.hpp"
 #include "util/rng.hpp"
@@ -59,6 +55,8 @@
 namespace {
 
 using namespace rcm;
+
+constexpr std::chrono::seconds kHealthTimeout{5};
 
 std::vector<std::uint16_t> parse_ports(const std::string& csv) {
   std::vector<std::uint16_t> ports;
@@ -172,25 +170,6 @@ void print_status_json(const service::ServiceStatus& s,
   std::printf("}\n");
 }
 
-// Best-effort instance health fetch for the status --json health block.
-// Returns nullopt against a pre-2.3 server (or any failure) so plain
-// status keeps working unchanged.
-std::optional<std::string> fetch_instance_health_json(std::uint16_t port) {
-  try {
-    service::AdminRequest req;
-    req.command = service::AdminCommand::kHealth;
-    req.scope = service::HealthScope::kInstance;
-    const service::AdminResponse resp = admin_exchange(port, req);
-    if (!resp.ok || !resp.body) return std::nullopt;
-    const wire::InstanceHealth doc = wire::decode_instance_health(std::span{
-        reinterpret_cast<const std::uint8_t*>(resp.body->data()),
-        resp.body->size()});
-    return service::instance_health_json(doc);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
 int run_admin(service::AdminCommand command, std::uint16_t port,
               std::uint64_t replica, bool json,
               const std::string& out_path) {
@@ -218,10 +197,12 @@ int run_admin(service::AdminCommand command, std::uint16_t port,
     if (json) {
       // Machine-readable status grows a health block (admin 2.3); a
       // failed fetch (older server) degrades to the plain document.
-      const std::optional<std::string> health =
-          command == service::AdminCommand::kStatus
-              ? fetch_instance_health_json(port)
-              : std::nullopt;
+      std::optional<std::string> health;
+      if (command == service::AdminCommand::kStatus) {
+        if (const auto doc =
+                service::scrape_instance_health(port, kHealthTimeout))
+          health = service::instance_health_json(*doc);
+      }
       print_status_json(*resp.status, health ? &*health : nullptr);
     } else {
       print_status(*resp.status);
@@ -246,31 +227,16 @@ int run_admin(service::AdminCommand command, std::uint16_t port,
   return 0;
 }
 
-// Fetches health (admin v2.3). Cluster scope (the default) returns the
-// aggregated JSON document ready to print; instance scope returns the
-// binary wire::InstanceHealth, rendered locally.
-int run_health(std::uint16_t port, bool instance) {
-  service::AdminRequest req;
-  req.command = service::AdminCommand::kHealth;
-  req.scope = instance ? service::HealthScope::kInstance
-                       : service::HealthScope::kCluster;
-  const service::AdminResponse resp = admin_exchange(port, req);
-  if (!resp.ok) {
-    std::fprintf(stderr, "service error: %s\n", resp.error.c_str());
+// Fetches the instance health document (admin v2.3) and prints it as
+// JSON.
+int run_health(std::uint16_t port) {
+  const auto doc = service::scrape_instance_health(port, kHealthTimeout);
+  if (!doc) {
+    std::fprintf(stderr, "no health document from admin port %u\n",
+                 static_cast<unsigned>(port));
     return 1;
   }
-  if (!resp.body) {
-    std::fprintf(stderr, "service returned no health body\n");
-    return 1;
-  }
-  if (instance) {
-    const wire::InstanceHealth doc = wire::decode_instance_health(std::span{
-        reinterpret_cast<const std::uint8_t*>(resp.body->data()),
-        resp.body->size()});
-    std::printf("%s\n", service::instance_health_json(doc).c_str());
-  } else {
-    std::printf("%s\n", resp.body->c_str());
-  }
+  std::printf("%s\n", service::instance_health_json(*doc).c_str());
   return 0;
 }
 
@@ -323,6 +289,7 @@ int run_subscribe(std::uint16_t port) {
         const wire::DecodedAlert decoded = wire::decode_alert(*payload);
         ++alerts;
         std::printf("alert %zu: %s\n", alerts, decoded.alert.cond.c_str());
+        std::fflush(stdout);  // a redirected stream must not sit buffered
       } catch (const wire::DecodeError&) {
         std::fprintf(stderr, "subscribe: corrupt alert frame\n");
       }
@@ -380,6 +347,7 @@ int run_session_subscribe(std::uint16_t port, const std::string& session,
                           static_cast<unsigned long long>(w.log_end));
               break;
           }
+          std::fflush(stdout);
         }
         continue;
       }
@@ -401,6 +369,7 @@ int run_session_subscribe(std::uint16_t port, const std::string& session,
         std::printf("alert #%llu: %s\n",
                     static_cast<unsigned long long>(rec.index),
                     rec.alert.alert.cond.c_str());
+        std::fflush(stdout);  // a redirected stream must not sit buffered
         conn.write_all(
             wire::frame(wire::encode_session_ack(rec.index + 1)));
       } catch (const wire::DecodeError&) {
@@ -437,9 +406,6 @@ int main(int argc, char** argv) {
   args.add_flag("from", "-1",
                 "replay from this alert index (subscribe --session); "
                 "-1 = resume from the durable cursor");
-  args.add_flag("instance", "false",
-                "health: this instance's own document instead of the "
-                "aggregated cluster view");
 
   if (!args.parse(argc, argv)) {
     std::fprintf(stderr, "%s\n%s", args.error().c_str(),
@@ -498,7 +464,7 @@ int main(int argc, char** argv) {
       return run_admin(service::AdminCommand::kSessions, admin_port, replica,
                        json, out);
     if (cmd == "health")
-      return run_health(admin_port, args.get_bool("instance"));
+      return run_health(admin_port);
     if (cmd == "metrics-prom")
       return run_admin(service::AdminCommand::kMetricsProm, admin_port,
                        replica, json, out);

@@ -4,11 +4,9 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <sstream>
 #include <stdexcept>
 #include <system_error>
 
-#include "core/expr/expression_condition.hpp"
 #include "obs/metrics.hpp"
 #include "store/file_log.hpp"
 
@@ -28,12 +26,6 @@ constexpr std::size_t kBatchBytes = 64u * 1024;
 constexpr std::size_t kLegacyMaxBuffered = 4u * 1024 * 1024;
 
 constexpr double kLagBounds[] = {0, 1, 8, 64, 512, 4096, 32768};
-
-std::string lag_source(std::uint64_t budget) {
-  std::ostringstream out;
-  out << "session_lag[0] > " << budget;
-  return out.str();
-}
 
 std::string read_file_bytes(const std::filesystem::path& path,
                             std::vector<std::uint8_t>& bytes) {
@@ -99,14 +91,9 @@ SessionManager::SessionManager(std::filesystem::path data_dir,
   recovered_sessions_ = sessions_.size();
   compact_cursors_locked();
 
-  if (limits_.lag_alert_budget > 0) {
-    lag_var_ = lag_vars_.intern("session_lag");
-    lag_ce_.emplace(
-        expr::compile_condition("service.session.lag_exceeded",
-                                lag_source(limits_.lag_alert_budget),
-                                lag_vars_),
-        "sessions");
-  }
+  if (limits_.lag_alert_budget > 0)
+    lag_alarm_.emplace("service.session.lag_exceeded", "session_lag",
+                       static_cast<double>(limits_.lag_alert_budget));
 
   loop_thread_ = std::thread(&SessionManager::loop, this);
 }
@@ -209,19 +196,13 @@ void SessionManager::publish(const Alert& a) {
 }
 
 void SessionManager::check_lag_locked(Session& session) {
-  if (!lag_ce_) return;
+  if (!lag_alarm_) return;
   const std::uint64_t lag = end_ - session.cursor.acked;
   if (lag > limits_.lag_alert_budget) {
     if (session.lag_alerted) return;
     session.lag_alerted = true;
-    Update u;
-    u.var = lag_var_;
-    u.seqno = static_cast<SeqNo>(++lag_seq_);
-    u.value = static_cast<double>(lag);
-    if (auto alert = lag_ce_->on_update(u)) {
-      lag_alerts_.push_back(std::move(*alert));
+    if (lag_alarm_->feed(static_cast<double>(lag)))
       RCM_COUNT("service.session.lag_alerts");
-    }
   } else {
     session.lag_alerted = false;
   }
@@ -518,8 +499,7 @@ std::uint64_t SessionManager::published() const noexcept {
 }
 
 std::vector<Alert> SessionManager::lag_alerts() const {
-  std::lock_guard g{mutex_};
-  return lag_alerts_;
+  return lag_alarm_ ? lag_alarm_->emitted() : std::vector<Alert>{};
 }
 
 }  // namespace rcm::service

@@ -27,8 +27,7 @@
 //   - per-session lag (log end − acked) feeds the
 //     `service.session.lag` histogram, and crossing `lag_alert_budget`
 //     raises a condition-language alert (`service.session.lag_exceeded`,
-//     dogfooded through an ordinary CE exactly like the availability
-//     probe's latency alert).
+//     dogfooded through a SelfAlarm, service/health.hpp).
 //
 // Legacy compatibility: a connection that never sends a session hello is
 // served the pre-session protocol — plain framed alerts from its
@@ -50,8 +49,8 @@
 #include <vector>
 
 #include "core/alert.hpp"
-#include "core/evaluator.hpp"
 #include "net/socket.hpp"
+#include "service/health.hpp"
 #include "wire/codec.hpp"
 #include "wire/frame.hpp"
 #include "wire/session.hpp"
@@ -181,12 +180,8 @@ class SessionManager {
   std::list<Conn> conns_;
   std::list<Conn> pending_;  ///< adopted, not yet picked up by the loop
 
-  // Dogfooded "slot falling behind" CE (probe.hpp pattern).
-  VariableRegistry lag_vars_;
-  VarId lag_var_ = 0;
-  std::optional<ConditionEvaluator> lag_ce_;
-  SeqNo lag_seq_ = 0;
-  std::vector<Alert> lag_alerts_;
+  // Dogfooded "slot falling behind" alarm; empty when the budget is 0.
+  std::optional<SelfAlarm> lag_alarm_;
 
   std::size_t recovered_sessions_ = 0;
   std::atomic<std::uint64_t> published_{0};

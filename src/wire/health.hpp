@@ -24,8 +24,8 @@ inline constexpr VersionHeader kHealthVersion{1, 0};
 inline constexpr std::uint8_t kHealthMinMajor = 1;
 inline constexpr std::uint8_t kHealthMaxMajor = 1;
 
-/// Stable on-wire degradation kinds the stall watchdog and aggregator
-/// emit. Append only — values are frozen in the v1 corpus.
+/// Stable on-wire degradation kinds the stall watchdog emits. Append
+/// only — values are frozen in the v1 corpus.
 enum class DegradationKind : std::uint8_t {
   kReplicaDown = 0,        // replica worker not running
   kHeartbeatMissed = 1,    // replica worker heartbeat older than budget
@@ -34,7 +34,9 @@ enum class DegradationKind : std::uint8_t {
   kSessionLagExceeded = 4, // a session's replay lag above budget
   kAdStalled = 5,          // decode-only: written by services that ran
                            // the AD on its own thread behind a queue
-  kUnreachable = 6,        // aggregator could not scrape this instance
+  kUnreachable = 6,        // decode-only: written by the retired
+                           // cluster-health aggregator for a failed
+                           // instance scrape
 };
 
 /// Names the enum value for documents and logs ("replica_down", ...).

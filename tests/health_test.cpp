@@ -1,8 +1,9 @@
-// Cluster-wide health: the versioned InstanceHealth wire codec, the
-// time-series sampler's windowed rates, the stall watchdog's dogfooded
-// alert channel, health-document aggregation (including unreachable
-// peers), Prometheus text exposition, and the live admin kHealth /
-// kMetricsProm path against a real AlertService.
+// Instance health: the versioned InstanceHealth wire codec, the
+// time-series sampler's windowed rates, the dogfooded SelfAlarm, the
+// health document's JSON rendering, Prometheus text exposition, and the
+// live admin kHealth / kMetricsProm path against a real AlertService
+// (including the watchdog alarm's edge trigger and the retired cluster
+// scope's error reply).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -180,55 +181,57 @@ TEST(MetricsEscapeTest, SnapshotJsonEscapesHostileNames) {
 }
 #endif  // RCM_METRICS_ENABLED
 
-// ---- watchdog alert channel ---------------------------------------------
+// ---- self-alarm ----------------------------------------------------------
 
-TEST(WatchdogAlertsTest, EdgeTriggeredOnDegradationCountChanges) {
-  service::WatchdogAlerts wd;
-  EXPECT_FALSE(wd.on_check(0).has_value());
-  const auto first = wd.on_check(2);
+TEST(SelfAlarmTest, FiresAboveThresholdWithIncreasingSeqnos) {
+  service::SelfAlarm alarm{"service.test.over", "test_value", 5.0};
+  EXPECT_FALSE(alarm.feed(0.0).has_value());
+  EXPECT_FALSE(alarm.feed(5.0).has_value()) << "at the threshold: silent";
+  const auto first = alarm.feed(6.0);
   ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->cond, "service.watchdog.degraded");
-  EXPECT_FALSE(wd.on_check(2).has_value()) << "same count: edge-triggered";
-  EXPECT_FALSE(wd.on_check(0).has_value()) << "recovery raises nothing";
-  EXPECT_TRUE(wd.on_check(1).has_value()) << "a fresh stall re-raises";
-  EXPECT_EQ(wd.emitted().size(), 2u);
+  EXPECT_EQ(first->cond, "service.test.over");
+  EXPECT_FALSE(alarm.feed(4.0).has_value());
+  const auto second = alarm.feed(7.5);
+  ASSERT_TRUE(second.has_value()) << "no latch: every excursion fed raises";
+  ASSERT_EQ(alarm.emitted().size(), 2u);
+  const VarId var = first->histories.begin()->first;
+  EXPECT_LT(first->seqno(var), second->seqno(var));
+  EXPECT_EQ(alarm.emitted()[1], *second);
 }
 
-// ---- aggregation ---------------------------------------------------------
+// ---- JSON rendering ------------------------------------------------------
 
-TEST(HealthAggregateTest, AllHealthyInstancesMakeAHealthyCluster) {
-  wire::InstanceHealth a;
-  a.healthy = true;
-  wire::InstanceHealth b = a;
-  b.role = wire::InstanceRole::kMerge;
-  const std::vector<service::ScrapedInstance> scraped = {{7001, a},
-                                                         {7002, b}};
-  const std::string json = service::aggregate_health_json(scraped);
-  EXPECT_NE(json.find("\"healthy\": true"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"unreachable\": 0"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"degradations\": 0"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"admin_port\": 7001"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"role\": \"merge\""), std::string::npos) << json;
-}
-
-TEST(HealthAggregateTest, UnreachablePeerDegradesTheCluster) {
-  wire::InstanceHealth a;
-  a.healthy = true;
-  const std::vector<service::ScrapedInstance> scraped = {
-      {7001, a}, {7002, std::nullopt}};
-  const std::string json = service::aggregate_health_json(scraped);
+TEST(InstanceHealthJsonTest, RendersEveryPartAndNoRetiredKeys) {
+  wire::InstanceHealth h = sample_doc();
+  h.degradations.push_back(wire::Degradation{
+      wire::DegradationKind::kEventLoopStalled, "bad \"tick\" \\ x\ny", 7});
+  const std::string json = service::instance_health_json(h);
+  EXPECT_EQ(json.front(), '{');
+  EXPECT_EQ(json.back(), '}');
+  EXPECT_NE(json.find("\"role\": \"shard\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"healthy\": false"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"unreachable\": 1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"health\": null"), std::string::npos) << json;
-}
-
-TEST(HealthAggregateTest, InstanceDegradationsCountTowardTheVerdict) {
-  const std::vector<service::ScrapedInstance> scraped = {
-      {7001, sample_doc()}};
-  const std::string json = service::aggregate_health_json(scraped);
-  EXPECT_NE(json.find("\"healthy\": false"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"degradations\": 2"), std::string::npos) << json;
-  EXPECT_NE(json.find("replica_down"), std::string::npos) << json;
+  for (const wire::ReplicaHealth& r : h.replicas) {
+    EXPECT_NE(json.find("{\"replica\": " + std::to_string(r.replica) +
+                        ", \"up\": " + (r.up ? "true" : "false")),
+              std::string::npos)
+        << "replica " << r.replica << " missing: " << json;
+  }
+  for (const wire::RateSample& r : h.rates)
+    EXPECT_NE(json.find("\"" + r.name + "\": {\"rate_10s\""),
+              std::string::npos)
+        << json;
+  for (const wire::Degradation& d : h.degradations)
+    EXPECT_NE(json.find(std::string{"\"kind\": \""} +
+                        wire::degradation_kind_name(d.kind) + "\""),
+              std::string::npos)
+        << json;
+  EXPECT_NE(json.find("\"detail\": \"bad \\\"tick\\\" \\\\ x\\ny\""),
+            std::string::npos)
+      << "hostile detail must come out escaped: " << json;
+  for (const char* retired : {"\"shard_id\"", "\"epoch\"",
+                              "\"alert_queue_depth\""})
+    EXPECT_EQ(json.find(retired), std::string::npos)
+        << retired << " is a retired key: " << json;
 }
 
 // ---- Prometheus exposition ----------------------------------------------
@@ -323,9 +326,9 @@ std::filesystem::path fresh_dir(const std::string& name) {
   return dir;  // the service creates it
 }
 
-service::AdminResponse admin_exchange(std::uint16_t port,
+// One request/response exchange on an open admin connection.
+service::AdminResponse admin_exchange(net::TcpStream& conn,
                                       const service::AdminRequest& req) {
-  net::TcpStream conn = net::TcpStream::connect(port);
   conn.write_all(wire::frame(service::encode_admin_request(req)));
   wire::FrameCursor cursor;
   const auto deadline = std::chrono::steady_clock::now() + 5s;
@@ -339,6 +342,26 @@ service::AdminResponse admin_exchange(std::uint16_t port,
   }
   throw std::runtime_error("admin response timed out");
 }
+
+service::AdminResponse admin_exchange(std::uint16_t port,
+                                      const service::AdminRequest& req) {
+  net::TcpStream conn = net::TcpStream::connect(port);
+  return admin_exchange(conn, req);
+}
+
+// Polls `count()` until it reaches `want` or `timeout` passes.
+template <typename F>
+bool await_count(F count, std::size_t want, std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (count() < want) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(10ms);
+  }
+  return true;
+}
+
+// Two watchdog periods (the monitor checks every ~500 ms) plus slack.
+constexpr auto kTwoWatchdogPeriods = 1200ms;
 
 TEST(AdminHealthTest, InstanceScopeReportsKillAndRecovery) {
   service::ServiceConfig cfg;
@@ -368,14 +391,28 @@ TEST(AdminHealthTest, InstanceScopeReportsKillAndRecovery) {
             wire::DegradationKind::kReplicaDown);
   EXPECT_FALSE(doc->replicas[1].up);
 
+  // The watchdog alarm is edge-triggered: the kill raises one alert, and
+  // the persistent degradation raises nothing more on later checks.
+  const auto watchdog_alerts = [&] { return svc.watchdog_alerts().size(); };
+  ASSERT_TRUE(await_count(watchdog_alerts, 1, 5000ms));
+  std::this_thread::sleep_for(kTwoWatchdogPeriods);
+  EXPECT_EQ(watchdog_alerts(), 1u) << "a persistent stall must not re-raise";
+  EXPECT_EQ(svc.watchdog_alerts().front().cond, "service.watchdog.degraded");
+
   svc.restart_replica(1);
   doc = service::scrape_instance_health(svc.admin_port(), 2000ms);
   ASSERT_TRUE(doc.has_value());
   EXPECT_TRUE(doc->healthy) << "restart must clear the degradation";
+
+  // Let the watchdog see the recovery, then a fresh stall re-raises.
+  std::this_thread::sleep_for(kTwoWatchdogPeriods);
+  EXPECT_EQ(watchdog_alerts(), 1u) << "recovery raises nothing";
+  svc.kill_replica(1);
+  EXPECT_TRUE(await_count(watchdog_alerts, 2, 5000ms));
   svc.drain();
 }
 
-TEST(AdminHealthTest, ClusterScopeReturnsAggregatedJson) {
+TEST(AdminHealthTest, RetiredClusterScopeGetsAnErrorOnALiveConnection) {
   service::ServiceConfig cfg;
   cfg.condition = swarm::build_condition(swarm::ConditionKind::kThreshold,
                                          50.0);
@@ -384,19 +421,26 @@ TEST(AdminHealthTest, ClusterScopeReturnsAggregatedJson) {
   cfg.poll_interval = 5ms;
   service::AlertService svc{cfg};
 
-  service::AdminRequest req;
-  req.command = service::AdminCommand::kHealth;  // default: cluster scope
-  const service::AdminResponse resp = admin_exchange(svc.admin_port(), req);
+  net::TcpStream conn = net::TcpStream::connect(svc.admin_port());
+  service::AdminRequest plain;
+  plain.command = service::AdminCommand::kHealth;  // default: cluster scope
+  const service::AdminResponse err = admin_exchange(conn, plain);
+  EXPECT_FALSE(err.ok);
+  EXPECT_NE(err.error.find("instance scope"), std::string::npos)
+      << err.error;
+  EXPECT_FALSE(err.body.has_value());
+
+  // The same connection then serves the instance scope.
+  service::AdminRequest inst = plain;
+  inst.scope = service::HealthScope::kInstance;
+  const service::AdminResponse resp = admin_exchange(conn, inst);
   ASSERT_TRUE(resp.ok) << resp.error;
   ASSERT_TRUE(resp.body.has_value());
-  EXPECT_NE(resp.body->find("\"healthy\": true"), std::string::npos)
-      << *resp.body;
-  EXPECT_NE(resp.body->find("\"instances\": ["), std::string::npos);
-  EXPECT_NE(resp.body->find("\"verdict_rule\""), std::string::npos);
-  EXPECT_NE(resp.body->find(
-                "\"admin_port\": " + std::to_string(svc.admin_port())),
-            std::string::npos)
-      << "a cluster-scoped request aggregates the instance itself";
+  const wire::InstanceHealth doc = wire::decode_instance_health(std::span{
+      reinterpret_cast<const std::uint8_t*>(resp.body->data()),
+      resp.body->size()});
+  EXPECT_EQ(doc.role, wire::InstanceRole::kStandalone);
+  EXPECT_EQ(doc.replicas.size(), 1u);
   svc.drain();
 }
 
@@ -445,10 +489,8 @@ TEST(AdminHealthTest, MetricsPromAndEmptyDocsAreWellFormed) {
 }
 
 TEST(AdminHealthTest, ConcurrentAdminConnectionsAreServed) {
-  // The aggregation path depends on the admin loop serving connections
-  // concurrently (a cluster-scoped request scrapes peers while its own
-  // connection is held open). Pin the thread-per-connection behavior: a
-  // stalled half-open connection must not block a second client.
+  // Pin the admin loop's thread-per-connection behavior: a stalled
+  // half-open connection must not block a second client's health scrape.
   service::ServiceConfig cfg;
   cfg.condition = swarm::build_condition(swarm::ConditionKind::kThreshold,
                                          50.0);
